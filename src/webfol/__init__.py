@@ -27,15 +27,18 @@ from .blowup import (
 from .bounds import (
     BoundReport,
     CharNumbers,
+    check_report_size,
     decimal_digit_count,
     duality_transform,
     foliation_aut_bound,
     int_to_decimal,
     pluricanonical_multiple,
+    power_digit_count,
     section_bound,
     tangency_numbers,
     very_ampleness_threshold,
     web_aut_bound,
+    web_bound_parts,
 )
 from .errors import (
     CapExceededError,

@@ -31,6 +31,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import InputError, ValidationError
+from .forms import _fraction_str
 from .poly import Polynomial, Scalar, poly_gcd
 
 
@@ -188,11 +189,7 @@ class Reducedness:
         if self.reason is not None:
             doc["reason"] = self.reason
         if self.quotient is not None:
-            doc["quotient"] = (
-                str(self.quotient.numerator)
-                if self.quotient.denominator == 1
-                else f"{self.quotient.numerator}/{self.quotient.denominator}"
-            )
+            doc["quotient"] = _fraction_str(self.quotient)
         return doc
 
 

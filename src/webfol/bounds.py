@@ -9,16 +9,19 @@ for a foliation with ample canonical bundle on a surface, is
 with m = (KFKX + 4 KF2 + 1)^2 + 3 KF2, where KF2 and KFKX are the
 self-intersection of the foliation's canonical bundle and its product with
 the surface's canonical bundle.  The bound can run to millions of digits, so
-reports carry the exact integer plus its decimal digit count, and the full
-decimal rendering stays behind an explicit request.
+reports carry the base, the exponent and the decimal digit count, all worked
+out without forming the power; the exact integer is formed only when it is
+read, and its decimal rendering stays behind an explicit request.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import ComputationError, InputError
@@ -32,6 +35,12 @@ _LOG10_2_DEN = 10 ** 32
 # Reports refuse to materialise bounds beyond this many decimal digits; the
 # base/exponent decomposition is always available and always exact.
 MAX_REPORT_DIGITS = 5_000_000
+
+# Guard digits of the logarithm in power_digit_count: its error stays below
+# 1e-29, so a fractional part farther than _NEAR_INTEGER from an integer
+# gives the floor exactly.
+_LOG_GUARD_DIGITS = 30
+_NEAR_INTEGER = decimal.Decimal("1e-20")
 
 
 def decimal_digit_count(n: int) -> int:
@@ -51,6 +60,47 @@ def decimal_digit_count(n: int) -> int:
     return high + 1 if n >= 10 ** high else low + 1
 
 
+def power_digit_count(base: int, exponent: int) -> int:
+    """Exact number of decimal digits of base**exponent, without forming the power.
+
+    The count is floor(exponent * log10(|base|)) + 1, with the correctly
+    rounded logarithm of :mod:`decimal` carried to enough digits that only a
+    product within 1e-20 of an integer (a base that is a power of ten, say)
+    is ambiguous; that case alone is settled by one exact comparison.
+    """
+    if exponent < 0:
+        raise ValueError(f"need exponent >= 0, got {exponent}")
+    base = abs(base)
+    if base <= 1 or exponent == 0:
+        return 1
+    exponent_digits = len(str(exponent))
+    # The logarithm is below base.bit_length(), so its absolute error, scaled
+    # by the exponent, is under 10**(-_LOG_GUARD_DIGITS + 1) / 2.
+    prec = exponent_digits + len(str(base.bit_length())) + _LOG_GUARD_DIGITS
+    log = decimal.Context(prec=prec).log10(decimal.Decimal(base))
+    # Wide enough that the product is exact.
+    value = decimal.Context(prec=prec + exponent_digits).multiply(log, exponent)
+    nearest = int(value.to_integral_value(rounding=decimal.ROUND_HALF_EVEN))
+    if abs(value - nearest) < _NEAR_INTEGER:
+        return nearest + 1 if base ** exponent >= 10 ** nearest else nearest
+    return int(value) + 1
+
+
+def check_report_size(base: int, exponent: int) -> None:
+    """Refuse a bound base**exponent whose decimal may pass MAX_REPORT_DIGITS.
+
+    The estimate comes from the bit length of the base and never forms the
+    power; it is at least the true digit count.
+    """
+    digits_upper = exponent * base.bit_length() * _LOG10_2_NUM // _LOG10_2_DEN + 1
+    if digits_upper > MAX_REPORT_DIGITS:
+        raise ComputationError(
+            f"the exact bound {base}^{exponent} has roughly {digits_upper} decimal "
+            f"digits, past the practical cap of {MAX_REPORT_DIGITS}; "
+            "use the base/exponent decomposition instead"
+        )
+
+
 def int_to_decimal(n: int) -> str:
     """Decimal string of an integer of any size.
 
@@ -68,15 +118,21 @@ def int_to_decimal(n: int) -> str:
             sys.set_int_max_str_digits(old)
 
 
-def web_aut_bound(d: int, k: int, N: int) -> int:
-    """Order bound (d + 2k)^((N+1)^2 - 1) for a degree-d k-web on P^N."""
+def web_bound_parts(d: int, k: int, N: int) -> tuple[int, int]:
+    """Base d + 2k and exponent (N+1)^2 - 1 of the web bound, domain-checked."""
     if d < 0:
         raise InputError(f"web degree must satisfy d >= 0, got {d}")
     if k < 1:
         raise InputError(f"multidegree must satisfy k >= 1, got {k}")
     if N < 2:
         raise InputError(f"ambient dimension must satisfy N >= 2, got {N}")
-    return (d + 2 * k) ** ((N + 1) ** 2 - 1)
+    return d + 2 * k, (N + 1) ** 2 - 1
+
+
+def web_aut_bound(d: int, k: int, N: int) -> int:
+    """Order bound (d + 2k)^((N+1)^2 - 1) for a degree-d k-web on P^N."""
+    base, exponent = web_bound_parts(d, k, N)
+    return base ** exponent
 
 
 def pluricanonical_multiple(kf2: int, kfkx: int) -> int:
@@ -124,7 +180,10 @@ def tangency_numbers(m: int, kf2: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Everything the main order bound produces, exactly."""
+    """Everything the main order bound produces, exactly.
+
+    ``final_bound``, the integer base**exponent, is formed on first access.
+    """
 
     kf2: int
     kfkx: int
@@ -135,8 +194,11 @@ class BoundReport:
     d_n1: int
     base: int
     exponent: int
-    final_bound: int
     digit_count: int
+
+    @cached_property
+    def final_bound(self) -> int:
+        return self.base ** self.exponent
 
     def to_json_dict(self, full_digits: bool = False) -> dict:
         doc = {
@@ -172,14 +234,7 @@ def foliation_aut_bound(kf2: int, kfkx: int) -> BoundReport:
     base = d_n2 + 2 * d_n1
     assert base == (3 * m * m + 2 * m) * kf2
     exponent = h0_cap ** 2 - 1
-    digits_upper = exponent * base.bit_length() * _LOG10_2_NUM // _LOG10_2_DEN + 1
-    if digits_upper > MAX_REPORT_DIGITS:
-        raise ComputationError(
-            f"the exact bound {base}^{exponent} has roughly {digits_upper} decimal "
-            f"digits, past the practical cap of {MAX_REPORT_DIGITS}; "
-            "use the base/exponent decomposition instead"
-        )
-    final = base ** exponent
+    check_report_size(base, exponent)
     return BoundReport(
         kf2=kf2,
         kfkx=kfkx,
@@ -190,8 +245,7 @@ def foliation_aut_bound(kf2: int, kfkx: int) -> BoundReport:
         d_n1=d_n1,
         base=base,
         exponent=exponent,
-        final_bound=final,
-        digit_count=decimal_digit_count(final),
+        digit_count=power_digit_count(base, exponent),
     )
 
 

@@ -41,6 +41,7 @@ from .errors import (
 from .forms import (
     SymForm,
     SymTensor,
+    _fraction_str,
     generic_sample_points,
     is_integrable,
     is_squarefree_at,
@@ -157,7 +158,10 @@ def parse_field(value: str, n: int) -> list[Polynomial]:
     """Vector field from shorthand text, inline JSON, or a JSON file path."""
     candidate = Path(value)
     if value.lstrip().startswith("["):
-        data = json.loads(value)
+        try:
+            data = json.loads(value)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"--field: invalid JSON: {exc}") from exc
     elif candidate.is_file():
         data = _load_json(value)
     else:
@@ -218,10 +222,6 @@ def _tensor_doc(tensor: SymTensor):
             for dmono in sorted(tensor.coeffs, reverse=True)
         ],
     }
-
-
-def _fraction_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 # -- command handlers ------------------------------------------------------------
@@ -388,13 +388,15 @@ def _cmd_bounds(args) -> tuple[int, dict | list]:
     if web_mode:
         if None in (args.d, args.k, args.n):
             raise InputError("web bound needs all of --d, --k, --n")
+        base, exponent = bounds_mod.web_bound_parts(args.d, args.k, args.n)
+        bounds_mod.check_report_size(base, exponent)
         value = bounds_mod.web_aut_bound(args.d, args.k, args.n)
         return EXIT_OK, {
             "d": args.d,
             "k": args.k,
             "N": args.n,
             "bound": bounds_mod.int_to_decimal(value),
-            "digit_count": bounds_mod.decimal_digit_count(value),
+            "digit_count": bounds_mod.power_digit_count(base, exponent),
         }
     if not pair_mode:
         raise InputError("bounds needs --d/--k/--n or --kf2/--kfkx")
@@ -408,7 +410,10 @@ def _cmd_bounds(args) -> tuple[int, dict | list]:
 
 
 def _cmd_duality(args) -> tuple[int, dict]:
-    values = [int(v) for v in args.values.split(",") if v.strip()]
+    try:
+        values = [int(v) for v in args.values.split(",") if v.strip()]
+    except ValueError as exc:
+        raise InputError(f"--values: {exc}") from exc
     numbers = bounds_mod.CharNumbers(values=tuple(values), N=len(values))
     dual = bounds_mod.duality_transform(numbers)
     return EXIT_OK, {
@@ -507,9 +512,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose values may start with a minus sign ("-1,0,1;0,1,1"), which
+# argparse would read as an option unless it is attached with "=".
+_SIGNED_VALUE_OPTIONS = ("--line", "--matrix", "--points")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite '--line -1,...' as '--line=-1,...' for the options above."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _SIGNED_VALUE_OPTIONS and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_signed_values(argv))
     try:
         code, document = args.handler(args)
     except ValidationError as exc:

@@ -22,7 +22,7 @@ from .errors import (
     SingularPointError,
     ValidationError,
 )
-from .forms import SymForm, SymTensor, multi_indices
+from .forms import SymForm, SymTensor, _fraction_str, multi_indices
 from .poly import Polynomial, Scalar
 
 DEFAULT_CLOSURE_CAP = 100_000
@@ -137,6 +137,10 @@ class ProjMap:
 
     @classmethod
     def from_json_list(cls, data: Sequence) -> "ProjMap":
+        if not isinstance(data, Sequence):
+            raise InputError(
+                f"a map is a JSON list of matrix entries, not {type(data).__name__}"
+            )
         n = _integer_sqrt(len(data))
         if n is None or n < 2:
             raise InputError(f"matrix entry list of length {len(data)} is not square")
@@ -145,10 +149,6 @@ class ProjMap:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"malformed matrix entry: {exc}") from exc
         return cls([values[i * n : (i + 1) * n] for i in range(n)])
-
-
-def _fraction_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def _integer_sqrt(n: int) -> Optional[int]:
@@ -526,8 +526,6 @@ def signed_permutations(n: int) -> list[ProjMap]:
     A convenient finite candidate pool for symmetry searches; projectively
     there are n! * 2^(n-1) of them.
     """
-    import itertools
-
     seen: set[ProjMap] = set()
     for perm in itertools.permutations(range(n)):
         for signs in itertools.product((1, -1), repeat=n):

@@ -1,21 +1,38 @@
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from webfol.bounds import (
     CharNumbers,
+    check_report_size,
     decimal_digit_count,
     duality_transform,
     foliation_aut_bound,
     int_to_decimal,
     pluricanonical_multiple,
+    power_digit_count,
     section_bound,
     tangency_numbers,
     very_ampleness_threshold,
     web_aut_bound,
+    web_bound_parts,
 )
-from webfol.errors import InputError
+from webfol.errors import ComputationError, InputError
+
+
+def rendered_length(value: int) -> int:
+    """len(str(value)), with the interpreter's int-to-str digit limit lifted."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return len(str(value))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 # -- web bound -------------------------------------------------------------------
@@ -36,6 +53,20 @@ def test_web_bound_domain():
     for bad in ((-1, 1, 2), (0, 0, 2), (0, 1, 1)):
         with pytest.raises(InputError):
             web_aut_bound(*bad)
+
+
+def test_web_bound_parts():
+    assert web_bound_parts(2, 1, 2) == (4, 8)
+    assert web_bound_parts(1000, 1, 1500) == (1002, 1501 ** 2 - 1)
+    with pytest.raises(InputError):
+        web_bound_parts(0, 0, 2)
+
+
+def test_report_size_cap():
+    check_report_size(2408, 617795)  # 2,089,171 digits: under the cap
+    # 1002^2253000 has about 6.8 million digits, past the 5,000,000 cap.
+    with pytest.raises(ComputationError, match=r"^the exact bound 1002\^2253000 has roughly"):
+        check_report_size(1002, 2253000)
 
 
 def test_web_bound_monotonicity():
@@ -139,10 +170,22 @@ def test_main_bound_decomposition_recomputed():
 def test_main_bound_refuses_absurd_materialisation():
     # (2, 0) gives m = 87 and an exponent past 2*10^8: around a billion
     # digits.  The decomposition stays available; the report refuses.
-    from webfol.errors import ComputationError
-
-    with pytest.raises(ComputationError):
+    with pytest.raises(ComputationError) as info:
         foliation_aut_bound(2, 0)
+    assert str(info.value) == (
+        "the exact bound 45762^229219599 has roughly 1104031599 decimal digits, "
+        "past the practical cap of 5000000; use the base/exponent decomposition instead"
+    )
+
+
+def test_final_bound_is_formed_on_first_access():
+    report = foliation_aut_bound(1, 0)
+    assert report.digit_count == 2089171
+    assert "final_bound" not in vars(report)
+    small = foliation_aut_bound(1, -3)
+    assert "final_bound" not in vars(small)
+    assert small.final_bound == 161 ** 2600
+    assert vars(small)["final_bound"] is small.final_bound
 
 
 def test_main_bound_domain():
@@ -178,6 +221,50 @@ def test_decimal_digit_count_boundaries():
 def test_digit_count_matches_rendering():
     for value in (7, 161 ** 26, 2 ** 333, 10 ** 50 + 1):
         assert decimal_digit_count(value) == len(str(value))
+
+
+def test_power_digit_count_matches_rendering_on_seeded_pairs():
+    rng = random.Random(20261018)
+    for _ in range(60):
+        base = rng.randint(2, 10 ** rng.randint(1, 40))
+        digits = 10 ** rng.uniform(0, 5)  # at most ~10^5 digits
+        exponent = int(digits / math.log10(base))
+        assert power_digit_count(base, exponent) == rendered_length(base ** exponent), (
+            base,
+            exponent,
+        )
+
+
+def test_power_digit_count_on_powers_of_ten():
+    # log10 of the base is an integer, so every count takes the exact fallback.
+    for base, zeros in ((10, 1), (100, 2), (1000, 3)):
+        for exponent in (0, 1, 2, 7, 999, 12345):
+            assert power_digit_count(base, exponent) == zeros * exponent + 1
+
+
+def test_power_digit_count_next_to_powers_of_ten():
+    # Within 1e-20 of an integer, but on either side of it.
+    assert power_digit_count(10 ** 30 + 1, 1) == 31
+    assert power_digit_count(10 ** 30 - 1, 1) == 30
+    assert power_digit_count(10 ** 30 - 1, 3) == rendered_length((10 ** 30 - 1) ** 3) == 90
+    assert power_digit_count(10 ** 25 + 7, 2) == rendered_length((10 ** 25 + 7) ** 2) == 51
+
+
+def test_power_digit_count_degenerate_cases():
+    assert power_digit_count(1, 0) == 1
+    assert power_digit_count(1, 10 ** 12) == 1
+    assert power_digit_count(0, 5) == 1
+    assert power_digit_count(7, 0) == 1
+    assert power_digit_count(-10, 3) == 4
+    with pytest.raises(ValueError):
+        power_digit_count(2, -1)
+
+
+def test_power_digit_count_of_two_across_decades():
+    # 2^e crosses into a new decade at e = 4, 7, 10, 14, ...; check every
+    # exponent on both sides of each crossing up to 2^4000.
+    for exponent in range(4001):
+        assert power_digit_count(2, exponent) == rendered_length(2 ** exponent)
 
 
 # -- characteristic numbers -----------------------------------------------------------

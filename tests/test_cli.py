@@ -379,6 +379,49 @@ def test_bounds_guard_exits_three():
     assert json.loads(r.stdout)["error"] == "computation_error"
 
 
+def test_web_bound_guard_exits_three():
+    # 1002^2253000: refused from its size estimate before the power is formed.
+    r = run_cli("bounds", "--d", "1000", "--k", "1", "--n", "1500")
+    assert r.returncode == 3
+    assert json.loads(r.stdout) == {
+        "error": "computation_error",
+        "message": "the exact bound 1002^2253000 has roughly 6782206 decimal digits, "
+        "past the practical cap of 5000000; use the base/exponent decomposition instead",
+    }
+
+
+def test_lie_malformed_inline_field_exits_two():
+    r = run_cli("lie", "--form", fx("example.json"), "--field", "[1,2")
+    assert r.returncode == 2, r.stderr
+    assert json.loads(r.stdout)["error"] == "input_error"
+
+
+def test_duality_non_integer_value_exits_two():
+    r = run_cli("duality", "--values", "1,a")
+    assert r.returncode == 2, r.stderr
+    assert json.loads(r.stdout)["error"] == "input_error"
+
+
+def test_preserves_map_file_that_is_not_a_list_exits_two(tmp_path):
+    bad = tmp_path / "five.json"
+    bad.write_text("5")
+    r = run_cli("preserves", "--form", fx("example.json"), "--map", str(bad))
+    assert r.returncode == 2, r.stderr
+    assert json.loads(r.stdout)["error"] == "input_error"
+
+
+def test_values_with_a_leading_minus_sign_need_no_equals_sign():
+    for args in (
+        ("restrict", "--form", fx("example.json"), "--line", "-1,0,1;0,1,1"),
+        ("reduced", "--matrix", "-1,0;0,2"),
+        ("squarefree", "--form", fx("example.json"), "--points", "-1,2,3;-2,1,5"),
+    ):
+        spaced = run_cli(*args)
+        joined = run_cli(*args[:-2], f"{args[-2]}={args[-1]}")
+        assert spaced.returncode == joined.returncode == 0, spaced.stderr
+        assert spaced.stdout == joined.stdout
+
+
 def test_help_lists_all_commands():
     r = run_cli("--help")
     assert r.returncode == 0
