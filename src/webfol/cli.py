@@ -30,14 +30,7 @@ from .blowup import (
     canonical_transform,
     reduced_check,
 )
-from .errors import (
-    CapExceededError,
-    ComputationError,
-    InputError,
-    NonGenericLineError,
-    SingularPointError,
-    ValidationError,
-)
+from .errors import ComputationError, InputError
 from .forms import (
     SymForm,
     SymTensor,
@@ -63,8 +56,8 @@ from .projective import (
 
 EXIT_OK = 0
 EXIT_FALSE = 1
-EXIT_INPUT = 2
-EXIT_COMPUTE = 3
+EXIT_INPUT = InputError.exit_code
+EXIT_COMPUTE = ComputationError.exit_code
 
 
 # -- input parsing -------------------------------------------------------------
@@ -534,24 +527,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_signed_values(argv))
     try:
         code, document = args.handler(args)
-    except ValidationError as exc:
+    except (InputError, ComputationError) as exc:
         _emit({"error": exc.code, "message": str(exc)}, args.table)
-        return EXIT_INPUT
-    except InputError as exc:
-        _emit({"error": "input_error", "message": str(exc)}, args.table)
-        return EXIT_INPUT
-    except CapExceededError as exc:
-        _emit({"error": "cap_exceeded", "message": str(exc)}, args.table)
-        return EXIT_COMPUTE
-    except NonGenericLineError as exc:
-        _emit({"error": "non_generic_line", "message": str(exc)}, args.table)
-        return EXIT_COMPUTE
-    except SingularPointError as exc:
-        _emit({"error": "singular_point", "message": str(exc)}, args.table)
-        return EXIT_COMPUTE
-    except ComputationError as exc:
-        _emit({"error": "computation_error", "message": str(exc)}, args.table)
-        return EXIT_COMPUTE
+        return exc.exit_code
     if isinstance(document, str):
         sys.stdout.write(document)
     else:

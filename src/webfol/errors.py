@@ -2,7 +2,9 @@
 
 Two families matter to callers: ``InputError`` (malformed or out-of-domain
 input, CLI exit code 2) and ``ComputationError`` (a computation refused to
-complete on otherwise well-formed input, CLI exit code 3).
+complete on otherwise well-formed input, CLI exit code 3).  Each class
+carries the stable ``code`` of its CLI error document and its
+``exit_code``; this is the one table the CLI reads.
 """
 
 
@@ -12,6 +14,9 @@ class WebfolError(Exception):
 
 class InputError(WebfolError):
     """Malformed input, schema violation, or parameter outside its domain."""
+
+    code = "input_error"
+    exit_code = 2
 
 
 class ValidationError(InputError):
@@ -29,14 +34,23 @@ class GeneratorError(InputError):
 class ComputationError(WebfolError):
     """The computation could not proceed (see concrete subclasses)."""
 
+    code = "computation_error"
+    exit_code = 3
+
 
 class NonGenericLineError(ComputationError):
     """The chosen line is degenerate for the form being restricted."""
+
+    code = "non_generic_line"
 
 
 class SingularPointError(ComputationError):
     """The chosen sample point lies in the singular set of the form."""
 
+    code = "singular_point"
+
 
 class CapExceededError(ComputationError):
     """Group closure grew past the configured element cap."""
+
+    code = "cap_exceeded"

@@ -21,6 +21,7 @@ generic line.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
@@ -398,30 +399,17 @@ def lie_derivative(field: Sequence[Polynomial], form: SymTensor) -> SymTensor:
 def proportionality_constant(reference: SymTensor, candidate: SymTensor) -> Optional[Fraction]:
     """The constant c with candidate = c * reference, or None.
 
-    Decided exactly: all two-by-two coefficient minors must vanish as
-    polynomials, and one nonzero coefficient must match by a constant.
+    Decided exactly: the leading coefficient of the reference's largest
+    differential multi-index fixes c, and every coefficient must then match.
     """
     if candidate.is_zero:
         return Fraction(0)
     if reference.is_zero:
         return None
-    keys = sorted(set(reference.coeffs) | set(candidate.coeffs), reverse=True)
-    nv = reference.coeff_nvars()
-    zero = Polynomial.zero(nv)
-    for a in range(len(keys)):
-        for b in range(a + 1, len(keys)):
-            lhs = reference.coeffs.get(keys[a], zero) * candidate.coeffs.get(keys[b], zero)
-            rhs = reference.coeffs.get(keys[b], zero) * candidate.coeffs.get(keys[a], zero)
-            if lhs != rhs:
-                return None
-    anchor = next(iter(sorted(candidate.coeffs, reverse=True)))
-    ref_poly = reference.coeffs.get(anchor)
-    if ref_poly is None:
-        return None
-    cand_poly = candidate.coeffs[anchor]
-    exp, ref_lc = ref_poly.leading_term()
-    c = cand_poly.coefficient(exp) / ref_lc
-    if not c or cand_poly != ref_poly * c:
+    anchor = max(reference.coeffs)
+    exp, lc = reference.coeffs[anchor].leading_term()
+    c = candidate.coefficient(anchor).coefficient(exp) / lc
+    if not c or candidate.coeffs != {I: A * c for I, A in reference.coeffs.items()}:
         return None
     return c
 
@@ -566,7 +554,7 @@ _SCHEDULE_TABLE = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 def sample_schedule(N: int, count: int) -> list[tuple[Fraction, ...]]:
     """Documented deterministic sample points: sliding windows over 1,2,3,5,7,...
     Point i has coordinates (table[i], table[i+1], ..., table[i+N])."""
-    if count < 0 or count + N >= len(_SCHEDULE_TABLE):
+    if count < 0 or count + N > len(_SCHEDULE_TABLE):
         raise InputError("sample schedule exhausted; pass explicit points")
     return [
         tuple(Fraction(_SCHEDULE_TABLE[i + j]) for j in range(N + 1))
@@ -576,14 +564,16 @@ def sample_schedule(N: int, count: int) -> list[tuple[Fraction, ...]]:
 
 def generic_sample_points(form: SymTensor, count: int) -> list[tuple[Fraction, ...]]:
     """First ``count`` schedule points outside the singular set of the form."""
-    chosen: list[tuple[Fraction, ...]] = []
-    i = 0
+    if count < 1:
+        return []
     N = form.ndiff - 1
-    while len(chosen) < count:
-        if i + N >= len(_SCHEDULE_TABLE):
-            raise InputError("sample schedule exhausted before finding generic points")
-        point = tuple(Fraction(_SCHEDULE_TABLE[i + j]) for j in range(N + 1))
-        if not specialise_at_point(form, point).is_zero:
-            chosen.append(point)
-        i += 1
+    windows = len(_SCHEDULE_TABLE) - N
+    schedule = sample_schedule(N, windows) if windows > 0 else []
+    chosen = list(
+        itertools.islice(
+            (p for p in schedule if not specialise_at_point(form, p).is_zero), count
+        )
+    )
+    if len(chosen) < count:
+        raise InputError("sample schedule exhausted before finding generic points")
     return chosen

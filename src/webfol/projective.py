@@ -22,7 +22,13 @@ from .errors import (
     SingularPointError,
     ValidationError,
 )
-from .forms import SymForm, SymTensor, _fraction_str, multi_indices
+from .forms import (
+    SymForm,
+    SymTensor,
+    _fraction_str,
+    multi_indices,
+    proportionality_constant,
+)
 from .poly import Polynomial, Scalar
 
 DEFAULT_CLOSURE_CAP = 100_000
@@ -195,19 +201,19 @@ def _linear_differential(row, nvars: int) -> SymTensor:
     return SymTensor(n, 1, coeffs)
 
 
-def pullback_tensor(transform: ProjMap, form: SymTensor) -> SymTensor:
-    """Raw pullback: substitute x -> T x in coefficients and dx -> T dx in slots."""
+def _pull(form: SymTensor, rows, xs, nvars: int) -> SymTensor:
+    """The one pullback kernel, in the polynomial ring with ``nvars`` variables.
+
+    Substitutes x_i -> sum_j rows[i][j] * xs[j] in the coefficients and
+    dx_i -> sum_m rows[i][m] * dx_m in the slots; entries of ``rows`` and
+    ``xs`` may be scalars or polynomials in that ring.
+    """
     n = form.ndiff
-    if transform.size != n:
-        raise InputError(f"matrix size {transform.size} does not match the form ({n})")
     coordinate_subs = [
-        sum(
-            (transform.entries[i][j] * Polynomial.variable(n, j) for j in range(n)),
-            Polynomial.zero(n),
-        )
+        sum((rows[i][j] * xs[j] for j in range(n)), Polynomial.zero(nvars))
         for i in range(n)
     ]
-    linear = [_linear_differential(transform.entries[i], n) for i in range(n)]
+    linear = [_linear_differential(rows[i], nvars) for i in range(n)]
     total: Optional[SymTensor] = None
     for dmono, poly in form.coeffs.items():
         composed = poly.compose(coordinate_subs)
@@ -222,23 +228,22 @@ def pullback_tensor(transform: ProjMap, form: SymTensor) -> SymTensor:
     return total
 
 
+def pullback_tensor(transform: ProjMap, form: SymTensor) -> SymTensor:
+    """Raw pullback: substitute x -> T x in coefficients and dx -> T dx in slots."""
+    n = form.ndiff
+    if transform.size != n:
+        raise InputError(f"matrix size {transform.size} does not match the form ({n})")
+    return _pull(form, transform.entries, Polynomial.variables(n), n)
+
+
 def pullback(transform: ProjMap, form: SymForm) -> SymForm:
     """Pullback of a validated form; stays valid for invertible maps."""
     return SymForm.from_tensor(pullback_tensor(transform, form))
 
 
 def preserves(transform: ProjMap, form: SymForm) -> bool:
-    """Whether the pullback defines the same web (all coefficient minors vanish)."""
-    pulled = pullback_tensor(transform, form)
-    keys = sorted(set(form.coeffs) | set(pulled.coeffs), reverse=True)
-    zero = Polynomial.zero(form.coeff_nvars())
-    for a in range(len(keys)):
-        for b in range(a + 1, len(keys)):
-            lhs = form.coeffs.get(keys[a], zero) * pulled.coeffs.get(keys[b], zero)
-            rhs = form.coeffs.get(keys[b], zero) * pulled.coeffs.get(keys[a], zero)
-            if lhs != rhs:
-                return False
-    return True
+    """Whether the pullback defines the same web (is a constant multiple of it)."""
+    return proportionality_constant(form, pullback_tensor(transform, form)) is not None
 
 
 # -- the polynomial system cutting out the symmetry group ---------------------------
@@ -300,6 +305,16 @@ def matrix_var_names(n: int) -> tuple[str, ...]:
     return tuple(f"a{i}{j}" for i in range(n) for j in range(n))
 
 
+def _minors(pulled: SymTensor, reference, indices, nvars: int) -> list[Polynomial]:
+    """B_J * A_I - B_I * A_J for every pair I < J, B the pulled coefficients."""
+    zero = Polynomial.zero(nvars)
+    return [
+        pulled.coeffs.get(J, zero) * reference[I] - pulled.coeffs.get(I, zero) * reference[J]
+        for a, I in enumerate(indices)
+        for J in indices[a + 1 :]
+    ]
+
+
 def invariance_system(
     form: SymForm, sample_points: Sequence[Sequence[Scalar]]
 ) -> BezoutSystem:
@@ -316,14 +331,10 @@ def invariance_system(
     n = form.ndiff
     n_vars = n * n
     indices = multi_indices(n, form.k)
+    avars = Polynomial.variables(n_vars)
+    rows = [avars[i * n : (i + 1) * n] for i in range(n)]
     generators: list[Polynomial] = []
     frozen_points: list[tuple[Fraction, ...]] = []
-    linear = [
-        _linear_differential(
-            tuple(Polynomial.variable(n_vars, i * n + m) for m in range(n)), n_vars
-        )
-        for i in range(n)
-    ]
     for raw_point in sample_points:
         point = tuple(Fraction(v) for v in raw_point)
         if len(point) != n:
@@ -334,34 +345,8 @@ def invariance_system(
                 f"sample point {tuple(map(str, point))} lies in the singular set"
             )
         frozen_points.append(point)
-        coordinate_subs = [
-            sum(
-                (Polynomial.variable(n_vars, i * n + j) * point[j] for j in range(n)),
-                Polynomial.zero(n_vars),
-            )
-            for i in range(n)
-        ]
-        pulled: Optional[SymTensor] = None
-        for dmono, poly in form.coeffs.items():
-            composed = poly.compose(coordinate_subs)
-            expansion: Optional[SymTensor] = None
-            for j, ij in enumerate(dmono):
-                for _ in range(ij):
-                    expansion = (
-                        linear[j] if expansion is None else expansion.sym_mul(linear[j])
-                    )
-            assert expansion is not None
-            term = expansion.scale(composed)
-            pulled = term if pulled is None else pulled + term
-        assert pulled is not None
-        zero = Polynomial.zero(n_vars)
-        for a in range(len(indices)):
-            for b in range(a + 1, len(indices)):
-                I, J = indices[a], indices[b]
-                generators.append(
-                    pulled.coeffs.get(J, zero) * values[I]
-                    - pulled.coeffs.get(I, zero) * values[J]
-                )
+        pulled = _pull(form, rows, point, n_vars)
+        generators.extend(_minors(pulled, values, indices, n_vars))
     return BezoutSystem(
         n_matrix_vars=n_vars,
         var_names=matrix_var_names(n),
@@ -382,48 +367,16 @@ def invariance_system_symbolic(form: SymForm) -> BezoutSystem:
     n = form.ndiff
     n_vars = n + n * n
     indices = multi_indices(n, form.k)
-
-    def avar(i: int, j: int) -> Polynomial:
-        return Polynomial.variable(n_vars, n + i * n + j)
-
-    xvars = [Polynomial.variable(n_vars, j) for j in range(n)]
-    coordinate_subs = [
-        sum((avar(i, j) * xvars[j] for j in range(n)), Polynomial.zero(n_vars))
-        for i in range(n)
-    ]
-    lift = [Polynomial.variable(n_vars, j) for j in range(n)]
-    linear = [
-        _linear_differential(tuple(avar(i, m) for m in range(n)), n_vars)
-        for i in range(n)
-    ]
-    original = {
-        I: form.coefficient(I).compose(lift) for I in indices
-    }
-    pulled: Optional[SymTensor] = None
-    for dmono, poly in form.coeffs.items():
-        composed = poly.compose(coordinate_subs)
-        expansion: Optional[SymTensor] = None
-        for j, ij in enumerate(dmono):
-            for _ in range(ij):
-                expansion = linear[j] if expansion is None else expansion.sym_mul(linear[j])
-        assert expansion is not None
-        term = expansion.scale(composed)
-        pulled = term if pulled is None else pulled + term
-    assert pulled is not None
-    zero = Polynomial.zero(n_vars)
-    generators = []
-    for a in range(len(indices)):
-        for b in range(a + 1, len(indices)):
-            I, J = indices[a], indices[b]
-            generators.append(
-                pulled.coeffs.get(J, zero) * original[I]
-                - pulled.coeffs.get(I, zero) * original[J]
-            )
+    variables = Polynomial.variables(n_vars)
+    xvars = variables[:n]
+    rows = [variables[n + i * n : n + (i + 1) * n] for i in range(n)]
+    original = {I: form.coefficient(I).compose(xvars) for I in indices}
+    pulled = _pull(form, rows, xvars, n_vars)
     names = tuple(f"x{j}" for j in range(n)) + matrix_var_names(n)
     return BezoutSystem(
         n_matrix_vars=n_vars,
         var_names=names,
-        generators=tuple(generators),
+        generators=tuple(_minors(pulled, original, indices, n_vars)),
         sample_points=(),
         declared_degree=form.degree + 2 * form.k,
         coefficient_degree=form.degree + form.k,
@@ -512,12 +465,21 @@ def group_closure(
 
 
 def verify_bound(order: int, d: int, k: int, N: int) -> bool:
-    """Whether a group order respects (d + 2k)^((N+1)^2 - 1), exactly."""
-    from .bounds import web_aut_bound
+    """Whether a group order respects (d + 2k)^((N+1)^2 - 1), exactly.
+
+    Decimal digit counts decide unless they are equal; only then is the
+    power formed.
+    """
+    from .bounds import decimal_digit_count, power_digit_count, web_bound_parts
 
     if order < 1:
         raise InputError("order must be a positive integer")
-    return order <= web_aut_bound(d, k, N)
+    base, exponent = web_bound_parts(d, k, N)
+    order_digits = decimal_digit_count(order)
+    bound_digits = power_digit_count(base, exponent)
+    if order_digits != bound_digits:
+        return order_digits < bound_digits
+    return order <= base ** exponent
 
 
 def signed_permutations(n: int) -> list[ProjMap]:

@@ -2,13 +2,44 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from webfol.errors import ValidationError
 from webfol.forms import SymForm, SymTensor
 from webfol.poly import Polynomial
 from webfol.projective import ProjMap
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+def shipped_forms() -> dict[str, SymForm]:
+    """Every form fixture in fixtures/, by file name."""
+    forms = {}
+    for path in sorted(FIXTURES.glob("*.json")):
+        data = json.loads(path.read_text())
+        if isinstance(data, dict) and "N" in data and "coeffs" in data:
+            forms[path.name] = SymForm.from_json_dict(data)
+    return forms
+
+
+def minors_vanish(reference: SymTensor, candidate: SymTensor) -> bool:
+    """Reference proportionality test: every 2x2 coefficient minor vanishes.
+
+    Over the integral domain Q[x] this holds exactly when one family is a
+    constant multiple of the other (or either is zero); m^2 products.
+    """
+    keys = sorted(set(reference.coeffs) | set(candidate.coeffs), reverse=True)
+    zero = Polynomial.zero(reference.coeff_nvars())
+    for a in range(len(keys)):
+        for b in range(a + 1, len(keys)):
+            lhs = reference.coeffs.get(keys[a], zero) * candidate.coeffs.get(keys[b], zero)
+            rhs = reference.coeffs.get(keys[b], zero) * candidate.coeffs.get(keys[a], zero)
+            if lhs != rhs:
+                return False
+    return True
 
 
 def units(n):
@@ -99,6 +130,18 @@ def build_corpus(seed: int, size: int = 50) -> list[SymForm]:
                 continue
         forms.append(one_form)
     return forms
+
+
+def fix_leading_variables(poly: Polynomial, values) -> Polynomial:
+    """Substitute values for the first len(values) variables, term by term."""
+    m = len(values)
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for exp, c in poly.terms():
+        for v, e in zip(values, exp[:m]):
+            c *= Fraction(v) ** e
+        rest = exp[m:]
+        terms[rest] = terms.get(rest, Fraction(0)) + c
+    return Polynomial(poly.nvars - m, terms)
 
 
 def random_projmap(rng: random.Random, n: int) -> ProjMap:

@@ -21,6 +21,7 @@ from webfol.forms import (
     lie_derivative,
     flow_preserves,
     multi_indices,
+    proportionality_constant,
     restrict_to_line,
     sample_schedule,
     specialise_at_point,
@@ -35,6 +36,7 @@ from helpers import (
     pencil_form,
     radial_form,
     scaled_copy,
+    shipped_forms,
 )
 
 X, Y, Z = Polynomial.variables(3)
@@ -228,6 +230,28 @@ def test_lie_derivative_on_two_web_euler_identity():
     assert lie_derivative(R, web) == scaled_copy(web, web.degree + 2 * web.k)
 
 
+def test_radial_lie_derivative_is_d_plus_2k_times_every_fixture_form():
+    for name, form in shipped_forms().items():
+        radial = Polynomial.variables(form.ndiff)
+        derivative = lie_derivative(radial, form)
+        assert proportionality_constant(form, derivative) == form.degree + 2 * form.k, name
+
+
+def test_proportionality_constant_edge_cases():
+    form = example_form()
+    zero = SymTensor(3, 1, {})
+    assert proportionality_constant(form, zero) == 0
+    assert proportionality_constant(zero, form) is None
+    assert proportionality_constant(form, scaled_copy(form, Fraction(-3, 2))) == Fraction(-3, 2)
+    missing = SymTensor(3, 1, {d: p for d, p in form.coeffs.items() if d != (0, 0, 1)})
+    assert proportionality_constant(form, missing) is None
+    assert proportionality_constant(missing, form) is None
+    assert proportionality_constant(form, scaled_copy(form, X)) is None
+    uneven = dict(form.coeffs)
+    uneven[(0, 0, 1)] = uneven[(0, 0, 1)] * 2
+    assert proportionality_constant(form, SymTensor(3, 1, uneven)) is None
+
+
 # -- restriction to lines --------------------------------------------------------------
 
 
@@ -335,6 +359,36 @@ def test_sample_schedule_documented_prefix():
         (Fraction(2), Fraction(3), Fraction(5)),
         (Fraction(3), Fraction(5), Fraction(7)),
     ]
+
+
+def test_sample_schedule_uses_every_window_of_the_table():
+    for N in (1, 2, 3, 14):
+        points = sample_schedule(N, 15 - N)
+        assert points[-1][-1] == 43
+        with pytest.raises(InputError):
+            sample_schedule(N, 16 - N)
+
+
+def test_generic_sample_points_are_the_nonsingular_prefix_of_the_schedule():
+    form = pencil_form(X + Y - Z, 2 * X - Y)  # singular at (1, 2, 3) only
+    schedule = sample_schedule(2, 13)
+    nonsingular = [p for p in schedule if not specialise_at_point(form, p).is_zero]
+    assert len(nonsingular) == 12
+    for count in range(13):
+        assert generic_sample_points(form, count) == nonsingular[:count]
+    with pytest.raises(InputError, match="exhausted before finding generic points"):
+        generic_sample_points(form, 13)
+    for name, shipped in shipped_forms().items():
+        schedule = sample_schedule(shipped.N, 15 - shipped.N)
+        expected = [p for p in schedule if not specialise_at_point(shipped, p).is_zero]
+        assert generic_sample_points(shipped, 3) == expected[:3], name
+
+
+def test_generic_sample_points_zero_count_for_any_dimension():
+    big = SymTensor(20, 1, {tuple(int(i == 0) for i in range(20)): Polynomial.variable(20, 1)})
+    assert generic_sample_points(big, 0) == []
+    with pytest.raises(InputError, match="exhausted before finding generic points"):
+        generic_sample_points(big, 1)
 
 
 def test_generic_sample_points_skip_singular():

@@ -12,7 +12,7 @@ from webfol.errors import (
     SingularPointError,
     ValidationError,
 )
-from webfol.forms import SymForm, SymTensor
+from webfol.forms import SymForm, SymTensor, generic_sample_points
 from webfol.poly import Polynomial
 from webfol.projective import (
     BezoutSystem,
@@ -25,16 +25,20 @@ from webfol.projective import (
     preserves,
     pullback,
     pullback_tensor,
+    signed_permutations,
     verify_bound,
 )
 
 from helpers import (
     conic_pencil_form,
     example_form,
+    fix_leading_variables,
+    minors_vanish,
     normalise_tensor,
     radial_form,
     random_projmap,
     scaled_copy,
+    shipped_forms,
     symmetric_pencil_form,
 )
 
@@ -143,6 +147,18 @@ def test_preserving_maps_compose_and_invert():
     assert preserves(cycle.inverse(), sym)
 
 
+def test_preserves_agrees_with_the_minors_reference_on_every_fixture():
+    verdicts = set()
+    for name, form in shipped_forms().items():
+        n = form.ndiff
+        candidates = signed_permutations(n) + [ProjMap.diagonal(range(1, n + 1))]
+        for m in candidates:
+            expected = minors_vanish(form, pullback_tensor(m, form))
+            assert preserves(m, form) == expected, (name, m)
+            verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 # -- the matrix-variable system ----------------------------------------------------------
 
 
@@ -220,6 +236,14 @@ def test_symbolic_system_vanishes_at_identity_for_all_x():
     ]
     for g in system.generators:
         assert g.compose(subs).is_zero
+
+
+def test_point_system_is_the_symbolic_system_at_that_point():
+    for name, form in shipped_forms().items():
+        symbolic = invariance_system_symbolic(form)
+        for point in generic_sample_points(form, 2):
+            expected = [fix_leading_variables(g, point) for g in symbolic.generators]
+            assert list(invariance_system(form, [point]).generators) == expected, name
 
 
 def test_export_round_trip_is_byte_identical():
@@ -324,6 +348,13 @@ def test_verify_bound_examples():
     assert verify_bound(2, 1, 2, 2)  # bound 5^8 = 390625
     assert verify_bound(65536, 2, 1, 2)  # boundary 4^8
     assert not verify_bound(65537, 2, 1, 2)
+
+
+def test_verify_bound_decides_by_digit_counts_first():
+    # The bound 1002^(1501^2 - 1) has about 6.8 million digits; it is not formed.
+    assert verify_bound(2, 1000, 1, 1500)
+    assert verify_bound(10 ** 50, 1000, 1, 1500)
+    assert not verify_bound(10 ** 9, 2, 1, 2)  # 10 digits against 4^8 = 65536
 
 
 def test_verify_bound_rejects_low_dimension():
