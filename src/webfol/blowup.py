@@ -77,10 +77,6 @@ class LocalFoliation:
         ]
         return min(degrees)
 
-    def is_singular_at_origin(self) -> bool:
-        origin = [Fraction(0), Fraction(0)]
-        return self.a.evaluate(origin) == 0 and self.b.evaluate(origin) == 0
-
     def dual_field_linear_part(self) -> tuple[tuple[Fraction, ...], ...]:
         """Jacobian at the origin of the dual vector field v = b d/dx - a d/dy."""
         origin = [Fraction(0), Fraction(0)]

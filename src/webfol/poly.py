@@ -1,15 +1,24 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial in ``nvars`` variables is a finite map from exponent tuples to
-nonzero ``fractions.Fraction`` coefficients:
+A polynomial in ``nvars`` variables is stored as one positive rational
+content times a primitive integer polynomial: a finite map from exponent
+tuples to nonzero ``int`` coefficients whose gcd is 1.
 
-    x0^2*x1 + 3/2  ->  {(2, 1): Fraction(1), (0, 0): Fraction(3, 2)}
+    3/2*x0^2*x1 - 3  ->  content Fraction(3, 2), {(2, 1): 1, (0, 0): -2}
 
-Everything is exact: no floating point appears anywhere, identity of
-polynomials is literal equality of the term maps, and all normal forms are
-deterministic.  The canonical term order is graded lexicographic with
-x0 < x1 < ... (compare total degree first, then the exponent vector read
-from the last variable down).  Serialisation lists terms in descending
+This form is unique (the zero polynomial is the empty map with content 1),
+so identity of polynomials is literal equality of variable count, content
+and term map.  Ring operations work on the ``int`` coefficients and touch
+the content once: by Gauss's lemma a product of primitive polynomials is
+primitive, so only sums need a gcd.  Results of ring operations are built
+by a trusted constructor; the public constructor validates its input.
+Every coefficient handed out (``terms``, ``coefficient``, ``leading_term``,
+``evaluate``, rendering and JSON) is a ``fractions.Fraction``.
+
+Everything is exact: no floating point appears anywhere, and all normal
+forms are deterministic.  The canonical term order is graded lexicographic
+with x0 < x1 < ... (compare total degree first, then the exponent vector
+read from the last variable down).  Serialisation lists terms in descending
 canonical order with numerators and denominators as decimal strings, so
 files survive any integer size.
 """
@@ -17,14 +26,16 @@ files survive any integer size.
 from __future__ import annotations
 
 import math
-
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import InputError
 
 Exponent = tuple[int, ...]
 Scalar = Union[Fraction, int]
+
+_ONE = Fraction(1)
 
 
 def grlex_key(exponents: Exponent) -> tuple[int, Exponent]:
@@ -33,9 +44,13 @@ def grlex_key(exponents: Exponent) -> tuple[int, Exponent]:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients.
 
-    __slots__ = ("nvars", "_terms", "_hash")
+    ``_terms`` maps exponents to nonzero ints with gcd 1 and ``_c`` is the
+    positive ``Fraction`` content; the value is ``_c * sum(v * x^e)``.
+    """
+
+    __slots__ = ("nvars", "_terms", "_c", "_hash")
 
     def __init__(self, nvars: int, terms: Optional[Mapping[Exponent, Scalar]] = None):
         if not isinstance(nvars, int) or nvars < 1:
@@ -48,8 +63,14 @@ class Polynomial:
             c = Fraction(coeff)
             if c:
                 clean[exp] = c
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        ints = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        g = math.gcd(*ints.values())
+        if g > 1:
+            ints = {e: v // g for e, v in ints.items()}
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", ints)
+        object.__setattr__(self, "_c", Fraction(g, den) if ints else _ONE)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -90,16 +111,21 @@ class Polynomial:
 
     def terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in descending canonical order (leading term first)."""
-        return sorted(self._terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+        c = self._c
+        return sorted(
+            ((e, c * v) for e, v in self._terms.items()),
+            key=lambda t: grlex_key(t[0]),
+            reverse=True,
+        )
 
     def coefficient(self, exp: Exponent) -> Fraction:
-        return self._terms.get(tuple(exp), Fraction(0))
+        return self._c * self._terms.get(tuple(exp), 0)
 
     def leading_term(self) -> tuple[Exponent, Fraction]:
         if self.is_zero:
             raise InputError("zero polynomial has no leading term")
         exp = max(self._terms, key=grlex_key)
-        return exp, self._terms[exp]
+        return exp, self._c * self._terms[exp]
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -132,14 +158,19 @@ class Polynomial:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.nvars, other)
+            other = _constant(self.nvars, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self._terms == other._terms
+        return (
+            self.nvars == other.nvars
+            and self._c == other._c
+            and self._terms == other._terms
+        )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            h = hash((self.nvars, frozenset(self._terms.items())))
+            c = self._c
+            h = hash((self.nvars, frozenset((e, c * v) for e, v in self._terms.items())))
             object.__setattr__(self, "_hash", h)
         return self._hash
 
@@ -156,54 +187,50 @@ class Polynomial:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return Polynomial.constant(self.nvars, other)
+            return _constant(self.nvars, other)
         return None
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._terms)
-        for exp, c in other._terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + c
-        return Polynomial(self.nvars, out)
+        return _combine(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {e: -c for e, c in self._terms.items()})
+        return _make(self.nvars, {e: -v for e, v in self._terms.items()}, self._c)
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
         return (-self) + other
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return Polynomial.zero(self.nvars)
-            return Polynomial(self.nvars, {e: k * c for e, k in self._terms.items()})
+            if not other or not self._terms:
+                return _make(self.nvars, {}, _ONE)
+            if other > 0:
+                return _make(self.nvars, self._terms, self._c * other)
+            return _make(self.nvars, _negated(self._terms), self._c * -other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[Exponent, Fraction] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                exp = tuple(a + b for a, b in zip(ea, eb))
-                out[exp] = out.get(exp, Fraction(0)) + ca * cb
-        return Polynomial(self.nvars, out)
+        if not self._terms or not other._terms:
+            return _make(self.nvars, {}, _ONE)
+        # Gauss's lemma: the product of primitive polynomials is primitive.
+        return _make(self.nvars, _mul_ints(self._terms, other._terms), self._c * other._c)
 
     __rmul__ = __mul__
 
     def __pow__(self, power: int) -> "Polynomial":
         if not isinstance(power, int) or power < 0:
             raise InputError(f"polynomial power must be a non-negative int, got {power!r}")
-        result = Polynomial.constant(self.nvars, 1)
+        result = _make(self.nvars, {(0,) * self.nvars: 1}, _ONE)
         base = self
         while power:
             if power & 1:
@@ -219,15 +246,15 @@ class Polynomial:
         """Exact partial derivative with respect to the given variable."""
         if not 0 <= index < self.nvars:
             raise InputError(f"variable index {index} out of range for nvars={self.nvars}")
-        out: dict[Exponent, Fraction] = {}
-        for exp, c in self._terms.items():
+        out: dict[Exponent, int] = {}
+        for exp, v in self._terms.items():
             e = exp[index]
             if e == 0:
                 continue
             new = list(exp)
             new[index] = e - 1
-            out[tuple(new)] = c * e
-        return Polynomial(self.nvars, out)
+            out[tuple(new)] = v * e
+        return _primitive(self.nvars, out, self._c)
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         """Exact value at a rational point (one value per variable)."""
@@ -236,14 +263,15 @@ class Polynomial:
             raise InputError(
                 f"point length {len(values)} does not match nvars={self.nvars}"
             )
-        total = Fraction(0)
-        for exp, c in self._terms.items():
-            term = c
+        # Integral coordinates (the sample schedule's) are powered as ints.
+        values = [v.numerator if v.denominator == 1 else v for v in values]
+        total = 0
+        for exp, term in self._terms.items():
             for e, v in zip(exp, values):
                 if e:
                     term *= v ** e
             total += term
-        return total
+        return self._c * total
 
     def compose(self, substitutions: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute a polynomial for every variable.
@@ -258,25 +286,42 @@ class Polynomial:
         target = substitutions[0].nvars
         if any(s.nvars != target for s in substitutions):
             raise InputError("substituted polynomials disagree on variable count")
-        # Cache powers of each substituted polynomial as they are needed.
-        powers: list[dict[int, Polynomial]] = [
-            {0: Polynomial.constant(target, 1)} for _ in range(self.nvars)
-        ]
+        # Term c*v*x^e becomes (c * v * prod c_i^e_i) * prod S_i^e_i, where
+        # s_i = c_i * S_i.  The scalars are brought over one denominator so
+        # the sum runs in ints and is normalised once.  Powers of each S_i
+        # are cached as they are needed.
+        one = {(0,) * target: 1}
+        powers: list[dict[int, dict[Exponent, int]]] = [{0: one} for _ in substitutions]
 
-        def power(i: int, e: int) -> Polynomial:
+        def power(i: int, e: int) -> dict[Exponent, int]:
             cache = powers[i]
             if e not in cache:
-                cache[e] = power(i, e - 1) * substitutions[i]
+                cache[e] = _mul_ints(power(i, e - 1), substitutions[i]._terms)
             return cache[e]
 
-        result = Polynomial.zero(target)
-        for exp, c in self._terms.items():
-            term = Polynomial.constant(target, c)
-            for i, e in enumerate(exp):
+        scaled = []
+        for exp, v in self._terms.items():
+            scalar = Fraction(v)
+            for s, e in zip(substitutions, exp):
                 if e:
-                    term = term * power(i, e)
-            result = result + term
-        return result
+                    scalar *= s._c ** e
+            scaled.append((exp, scalar))
+        den = math.lcm(*(scalar.denominator for _, scalar in scaled))
+        total: dict[Exponent, int] = {}
+        get = total.get
+        for exp, scalar in scaled:
+            factors = [power(i, e) for i, e in enumerate(exp) if e] or [one]
+            last = factors.pop()
+            head = factors[0] if factors else one
+            for f in factors[1:]:
+                head = _mul_ints(head, f)
+            k = scalar.numerator * (den // scalar.denominator)
+            for ea, va in head.items():
+                va *= k
+                for eb, vb in last.items():
+                    e = tuple(map(add, ea, eb))
+                    total[e] = get(e, 0) + va * vb
+        return _primitive(target, {e: v for e, v in total.items() if v}, self._c / den)
 
     # -- division ---------------------------------------------------------------
 
@@ -287,18 +332,32 @@ class Polynomial:
             raise InputError("division by zero polynomial")
         if self.is_zero:
             return Polynomial.zero(self.nvars)
-        dexp, dcoeff = divisor.leading_term()
-        quotient: dict[Exponent, Fraction] = {}
-        remainder = self
-        while not remainder.is_zero:
-            rexp, rcoeff = remainder.leading_term()
+        # Long division of the primitive parts in Z.  By Gauss's lemma an
+        # exact quotient of primitive polynomials is itself integral, so a
+        # leading coefficient that does not divide means "not divisible".
+        dterms = divisor._terms
+        dexp = max(dterms, key=grlex_key)
+        dcoeff = dterms[dexp]
+        quotient: dict[Exponent, int] = {}
+        remainder = dict(self._terms)
+        while remainder:
+            rexp = max(remainder, key=grlex_key)
             step = tuple(a - b for a, b in zip(rexp, dexp))
             if any(e < 0 for e in step):
                 return None
-            c = rcoeff / dcoeff
-            quotient[step] = c
-            remainder = remainder - Polynomial.monomial(self.nvars, step, c) * divisor
-        return Polynomial(self.nvars, quotient)
+            q, r = divmod(remainder[rexp], dcoeff)
+            if r:
+                return None
+            quotient[step] = q
+            get = remainder.get
+            for e, v in dterms.items():
+                e = tuple(map(add, e, step))
+                v = get(e, 0) - q * v
+                if v:
+                    remainder[e] = v
+                else:
+                    del remainder[e]
+        return _make(self.nvars, quotient, self._c / divisor._c)
 
     def shift_down(self, index: int, amount: int) -> "Polynomial":
         """Divide by x_index**amount; the power must divide every term."""
@@ -309,18 +368,19 @@ class Polynomial:
         if self.x_order(index) < amount:
             raise InputError(f"x_{index}^{amount} does not divide the polynomial")
         out = {}
-        for exp, c in self._terms.items():
+        for exp, v in self._terms.items():
             new = list(exp)
             new[index] -= amount
-            out[tuple(new)] = c
-        return Polynomial(self.nvars, out)
+            out[tuple(new)] = v
+        return _make(self.nvars, out, self._c)
 
     def monic(self) -> "Polynomial":
         """Scale so the leading coefficient in canonical order is 1."""
         if self.is_zero:
             return self
-        _, lc = self.leading_term()
-        return self * (Fraction(1) / lc)
+        lead = self._terms[max(self._terms, key=grlex_key)]
+        terms = self._terms if lead > 0 else _negated(self._terms)
+        return _make(self.nvars, terms, Fraction(1, abs(lead)))
 
     # -- serialisation ------------------------------------------------------------
 
@@ -384,6 +444,77 @@ def _default_names(nvars: int) -> list[str]:
     if nvars <= 4:
         return ["x", "y", "z", "w"][:nvars]
     return [f"x{i}" for i in range(nvars)]
+
+
+# -- trusted construction ----------------------------------------------------------
+#
+# The helpers below build results of ring operations without re-validating:
+# callers guarantee exponent tuples of length ``nvars``, nonzero int values,
+# a positive Fraction content, and content 1 for the empty map.
+
+
+def _make(nvars: int, ints: dict[Exponent, int], content: Fraction) -> Polynomial:
+    """A polynomial from a primitive int map and its content, unchecked."""
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "nvars", nvars)
+    object.__setattr__(p, "_terms", ints)
+    object.__setattr__(p, "_c", content)
+    object.__setattr__(p, "_hash", None)
+    return p
+
+
+def _primitive(nvars: int, ints: dict[Exponent, int], scale: Fraction) -> Polynomial:
+    """``scale`` times a map of nonzero ints, with their gcd moved into the content."""
+    if not ints:
+        return _make(nvars, {}, _ONE)
+    g = math.gcd(*ints.values())
+    if g == 1:
+        return _make(nvars, ints, scale)
+    return _make(nvars, {e: v // g for e, v in ints.items()}, scale * g)
+
+
+def _constant(nvars: int, value: Scalar) -> Polynomial:
+    if not value:
+        return _make(nvars, {}, _ONE)
+    return _make(nvars, {(0,) * nvars: 1 if value > 0 else -1}, Fraction(abs(value)))
+
+
+def _negated(ints: dict[Exponent, int]) -> dict[Exponent, int]:
+    return {e: -v for e, v in ints.items()}
+
+
+def _mul_ints(a: dict[Exponent, int], b: dict[Exponent, int]) -> dict[Exponent, int]:
+    """Product of two int term maps, cancelled terms dropped."""
+    out: dict[Exponent, int] = {}
+    get = out.get
+    items = list(b.items())
+    for ea, va in a.items():
+        for eb, vb in items:
+            e = tuple(map(add, ea, eb))
+            out[e] = get(e, 0) + va * vb
+    return {e: v for e, v in out.items() if v}
+
+
+def _combine(p: Polynomial, q: Polynomial, sign: int) -> Polynomial:
+    """p + sign*q: both contents as integer multiples of their rational gcd."""
+    if not q._terms:
+        return p
+    if not p._terms:
+        return q if sign > 0 else -q
+    cp, cq = p._c, q._c
+    if cp == cq:
+        g, sp, sq = cp, 1, sign
+    else:
+        gn = math.gcd(cp.numerator, cq.numerator)
+        den = math.lcm(cp.denominator, cq.denominator)
+        g = Fraction(gn, den)
+        sp = cp.numerator // gn * (den // cp.denominator)
+        sq = sign * (cq.numerator // gn) * (den // cq.denominator)
+    out = dict(p._terms) if sp == 1 else {e: sp * v for e, v in p._terms.items()}
+    get = out.get
+    for e, v in q._terms.items():
+        out[e] = get(e, 0) + sq * v
+    return _primitive(p.nvars, {e: v for e, v in out.items() if v}, g)
 
 
 # -- greatest common divisors ----------------------------------------------------
@@ -476,26 +607,24 @@ def _deg_last(p: Polynomial) -> int:
 
 def _coeffs_by_last(p: Polynomial) -> dict[int, Polynomial]:
     """Recursive view: degree in the last variable -> (nvars-1)-poly."""
-    split: dict[int, dict[Exponent, Fraction]] = {}
-    for exp, c in p._terms.items():
-        split.setdefault(exp[-1], {})[exp[:-1]] = c
-    return {d: Polynomial(p.nvars - 1, t) for d, t in split.items()}
+    split: dict[int, dict[Exponent, int]] = {}
+    for exp, v in p._terms.items():
+        split.setdefault(exp[-1], {})[exp[:-1]] = v
+    return {d: _primitive(p.nvars - 1, t, p._c) for d, t in split.items()}
 
 
 def _lift_last(p: Polynomial, last_degree: int = 0) -> Polynomial:
     """Reinterpret an (n-1)-variable polynomial inside n variables."""
-    return Polynomial(
-        p.nvars + 1, {exp + (last_degree,): c for exp, c in p._terms.items()}
+    return _make(
+        p.nvars + 1, {exp + (last_degree,): v for exp, v in p._terms.items()}, p._c
     )
 
 
-def _lc_last(p: Polynomial) -> Polynomial:
+def _lc_last(p: Polynomial, last_degree: int = 0) -> Polynomial:
     """Leading coefficient with respect to the last variable, lifted to nvars."""
     d = _deg_last(p)
-    out = {
-        exp[:-1] + (0,): c for exp, c in p._terms.items() if exp[-1] == d
-    }
-    return Polynomial(p.nvars, out)
+    out = {exp[:-1] + (last_degree,): v for exp, v in p._terms.items() if exp[-1] == d}
+    return _primitive(p.nvars, out, p._c)
 
 
 def _content_last(p: Polynomial) -> Polynomial:
@@ -505,33 +634,20 @@ def _content_last(p: Polynomial) -> Polynomial:
 
 def _scalar_normalised(p: Polynomial) -> Polynomial:
     """Scale so coefficients become coprime integers (harmless inside a PRS)."""
-    if p.is_zero:
+    if p.is_zero or p._c == 1:
         return p
-    num_gcd = 0
-    den_lcm = 1
-    for c in p._terms.values():
-        num_gcd = math.gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    factor = Fraction(den_lcm, num_gcd)
-    if factor == 1:
-        return p
-    return p * factor
+    return _make(p.nvars, p._terms, _ONE)
 
 
 def _prem_last(f: Polynomial, g: Polynomial) -> Polynomial:
     """Pseudo-remainder of f by g in the last variable (coefficients stay polynomial)."""
-    n = f.nvars
     dg = _deg_last(g)
-    lg = _lc_last(g)
     r = _scalar_normalised(f)
     g = _scalar_normalised(g)
     lg = _lc_last(g)
     while not r.is_zero and _deg_last(r) >= dg:
-        dr = _deg_last(r)
-        lr = _lc_last(r)
-        shift = [0] * n
-        shift[-1] = dr - dg
-        r = _scalar_normalised(lg * r - lr * Polynomial.monomial(n, tuple(shift)) * g)
+        lr = _lc_last(r, _deg_last(r) - dg)
+        r = _scalar_normalised(lg * r - lr * g)
     return r
 
 
@@ -543,16 +659,32 @@ def _primitive_last(p: Polynomial) -> Polynomial:
 
 
 def _gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
-    while not q.is_zero:
-        dq = q.degree()
-        _, lq = q.leading_term()
-        r = p
-        while not r.is_zero and r.degree() >= dq:
-            exp, lr = r.leading_term()
-            step = (exp[0] - dq,)
-            r = r - Polynomial.monomial(1, step, lr / lq) * q
-        p, q = q, r
-    return p
+    """Euclid's algorithm on the primitive int parts: a GCD up to a unit.
+
+    Each step a <- lb*a - la*x^s*b is the Fraction step a - (la/lb)*x^s*b
+    times the nonzero integer lb, followed by dropping the integer content.
+    """
+    a, b = p._terms, q._terms
+    while b:
+        bexp = max(b)
+        lb = b[bexp]
+        while a:
+            aexp = max(a)
+            if aexp < bexp:
+                break
+            la, shift = a[aexp], aexp[0] - bexp[0]
+            out = {e: lb * v for e, v in a.items()}
+            get = out.get
+            for (e,), v in b.items():
+                e = (e + shift,)
+                out[e] = get(e, 0) - la * v
+            a = {e: v for e, v in out.items() if v}
+            if a:
+                g = math.gcd(*a.values())
+                if g > 1:
+                    a = {e: v // g for e, v in a.items()}
+        a, b = b, a
+    return _make(1, a, _ONE)
 
 
 def _gcd_nonzero(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -563,8 +695,8 @@ def _gcd_nonzero(p: Polynomial, q: Polynomial) -> Polynomial:
     if dp == 0 and dq == 0:
         # Both live in the subring without the last variable.
         sub = poly_gcd(
-            Polynomial(n - 1, {e[:-1]: c for e, c in p._terms.items()}),
-            Polynomial(n - 1, {e[:-1]: c for e, c in q._terms.items()}),
+            _make(n - 1, {e[:-1]: v for e, v in p._terms.items()}, p._c),
+            _make(n - 1, {e[:-1]: v for e, v in q._terms.items()}, q._c),
         )
         return _lift_last(sub)
     content_p = _content_last(p)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -114,15 +115,6 @@ class ProjMap:
                     factor = aug[r][col]
                     aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
         return ProjMap([row[n:] for row in aug])
-
-    def apply_to_point(self, point: Sequence[Scalar]) -> tuple[Fraction, ...]:
-        values = [Fraction(v) for v in point]
-        if len(values) != self.size:
-            raise InputError("point size mismatch")
-        return tuple(
-            sum((row[j] * values[j] for j in range(self.size)), Fraction(0))
-            for row in self.entries
-        )
 
     def sort_key(self):
         return tuple(v for row in self.entries for v in row)
@@ -433,8 +425,9 @@ def group_closure(
     """Close verified generators under products (breadth-first).
 
     Every generator must preserve the form; the closure therefore consists of
-    preserving maps only.  Growth past ``cap`` elements raises
-    :class:`CapExceededError`, the expected signal for an infinite group.
+    preserving maps only.  A generator proved to have infinite order, and
+    growth past ``cap`` elements, raise :class:`CapExceededError`, the
+    signal for an infinite group.
     """
     gens = []
     for g in generators:
@@ -444,6 +437,9 @@ def group_closure(
             gens.append(g)
     if cap < 1:
         raise InputError("cap must be positive")
+    for g in gens:
+        if _certainly_infinite_order(g):
+            raise CapExceededError(f"generator has infinite order: {g!r}")
     identity = ProjMap.identity(form.ndiff)
     elements = {identity}
     frontier = [identity]
@@ -462,6 +458,71 @@ def group_closure(
         frontier = next_frontier
     ordered = tuple(sorted(elements, key=ProjMap.sort_key))
     return FiniteGroup(elements=ordered, generators=tuple(gens))
+
+
+# A prime for the infinite-order test; maps with an entry whose denominator
+# it divides are not tested.
+_ORDER_PRIME = 2**61 - 1
+
+
+def _totient(e: int) -> int:
+    result, rest, p = e, e, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            result -= result // p
+        p += 1
+    if rest > 1:
+        result -= result // rest
+    return result
+
+
+def _torsion_exponent(n: int) -> int:
+    """L(n) = lcm{e : phi(e) <= n(n-1)}: 12, 2520 and 720720 for n = 2, 3, 4.
+
+    If g in PGL_n(Q) has finite order, g is diagonalisable and every ratio
+    of two eigenvalues is a root of unity of some order e in a field of
+    degree at most n(n-1) over Q, so phi(e) <= n(n-1) and g^L(n) is scalar.
+    As phi(e) >= sqrt(e/2), every such e is at most 2(n(n-1))^2.
+    """
+    bound = n * (n - 1)
+    return math.lcm(*(e for e in range(1, 2 * bound * bound + 1) if _totient(e) <= bound))
+
+
+def _certainly_infinite_order(g: ProjMap) -> bool:
+    """Sound refusal: True only if g has infinite order in PGL_n(Q).
+
+    A finite-order g has g^L(n) = c*I over Q, hence also modulo the prime;
+    so a power that is not scalar modulo the prime proves infinite order.
+    """
+    p = _ORDER_PRIME
+    entries = [v for row in g.entries for v in row]
+    if any(v.denominator % p == 0 for v in entries):
+        return False
+    n = g.size
+    flat = [v.numerator * pow(v.denominator, -1, p) % p for v in entries]
+    base = [flat[i * n : (i + 1) * n] for i in range(n)]
+    power = _torsion_exponent(n)
+    result = [[int(i == j) for j in range(n)] for i in range(n)]
+    while power:
+        if power & 1:
+            result = _matmul_mod(result, base, p)
+        power >>= 1
+        if power:
+            base = _matmul_mod(base, base, p)
+    scalar = result[0][0]
+    return any(
+        result[i][j] != (scalar if i == j else 0) for i in range(n) for j in range(n)
+    )
+
+
+def _matmul_mod(a, b, p: int):
+    n = len(a)
+    return [
+        [sum(a[i][m] * b[m][j] for m in range(n)) % p for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def verify_bound(order: int, d: int, k: int, N: int) -> bool:

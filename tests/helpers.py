@@ -227,3 +227,90 @@ def chart_consistency_holds(result) -> bool:
     reference, image = (a2, P) if not a2.is_zero else (b2, Q)
     unit = image.try_divide(reference)
     return unit is not None and len(unit.terms()) == 1
+
+
+# -- a plain reference kernel: polynomials as dict[exponent, Fraction] -----------
+#
+# Written apart from webfol.poly, term by term over Fractions, so the kernel's
+# integer representation can be checked against it through ``terms()``.
+
+
+def ref_terms(poly: Polynomial) -> dict[tuple[int, ...], Fraction]:
+    return dict(poly.terms())
+
+
+def _ref_clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def ref_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return _ref_clean(out)
+
+
+def ref_mul(p, q):
+    out = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            e = tuple(a + b for a, b in zip(ea, eb))
+            out[e] = out.get(e, Fraction(0)) + ca * cb
+    return _ref_clean(out)
+
+
+def ref_partial(p, index):
+    out = {}
+    for e, c in p.items():
+        if e[index]:
+            new = list(e)
+            new[index] -= 1
+            out[tuple(new)] = c * e[index]
+    return out
+
+
+def ref_compose(p, substitutions, target_nvars):
+    """Substitute term by term, expanding each power by repeated products."""
+    total = {}
+    for e, c in p.items():
+        term = {(0,) * target_nvars: c}
+        for s, k in zip(substitutions, e):
+            for _ in range(k):
+                term = ref_mul(term, s)
+        total = ref_add(total, term)
+    return total
+
+
+def _ref_lead(p):
+    exp = max(p, key=lambda e: (sum(e), tuple(reversed(e))))
+    return exp, p[exp]
+
+
+def ref_try_divide(p, d):
+    """Exact quotient by grlex long division over Q, or None."""
+    quotient, remainder = {}, dict(p)
+    dexp, dcoeff = _ref_lead(d)
+    while remainder:
+        rexp, rcoeff = _ref_lead(remainder)
+        step = tuple(a - b for a, b in zip(rexp, dexp))
+        if min(step) < 0:
+            return None
+        c = rcoeff / dcoeff
+        quotient[step] = c
+        remainder = ref_add(remainder, ref_mul({step: -c}, d))
+    return quotient
+
+
+def kernel_invariants_hold(poly: Polynomial) -> bool:
+    """Positive content, nonzero coprime int terms, and the old hash value."""
+    import math
+
+    values = list(poly._terms.values())
+    if not isinstance(poly._c, Fraction) or poly._c <= 0:
+        return False
+    if not values:
+        ok = poly._c == 1
+    else:
+        ok = all(type(v) is int and v for v in values) and math.gcd(*values) == 1
+    old_hash = hash((poly.nvars, frozenset(ref_terms(poly).items())))
+    return ok and hash(poly) == old_hash

@@ -422,6 +422,19 @@ def test_values_with_a_leading_minus_sign_need_no_equals_sign():
         assert spaced.stdout == joined.stdout
 
 
+def test_closure_of_an_infinite_order_generator_exits_three(capsys):
+    # Ran without bound (minutes, a gigabyte) before the infinite-order test.
+    from webfol import cli
+
+    code = cli.main(
+        ["closure", "--form", fx("conic_pencil.json"), "--map", fx("dilation_map.json")]
+    )
+    assert code == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "cap_exceeded"
+    assert "infinite order" in doc["message"]
+
+
 def test_help_lists_all_commands():
     r = run_cli("--help")
     assert r.returncode == 0

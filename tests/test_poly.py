@@ -9,6 +9,16 @@ from hypothesis import strategies as st
 from webfol.errors import InputError
 from webfol.poly import Polynomial, poly_gcd, poly_gcd_many
 
+from helpers import (
+    kernel_invariants_hold,
+    ref_add,
+    ref_compose,
+    ref_mul,
+    ref_partial,
+    ref_terms,
+    ref_try_divide,
+)
+
 
 def variables3():
     return Polynomial.variables(3)
@@ -258,3 +268,89 @@ def test_gcd_divides_both(p, q):
         return
     assert p.try_divide(g) is not None
     assert q.try_divide(g) is not None
+
+
+# -- the integer kernel against the plain Fraction reference ---------------------
+
+
+def _negated(terms):
+    return {e: -c for e, c in terms.items()}
+
+
+@settings(max_examples=120, deadline=None)
+@given(polynomials(), polynomials(), polynomials(nvars=3), polynomials(nvars=3), small_fractions)
+def test_kernel_agrees_with_the_reference(p, q, s, t, scalar):
+    P, Q, S, T = (ref_terms(f) for f in (p, q, s, t))
+    checks = [
+        (p + q, ref_add(P, Q)),
+        (p - q, ref_add(P, _negated(Q))),
+        (-p, _negated(P)),
+        (p * q, ref_mul(P, Q)),
+        (p * scalar, {e: c * scalar for e, c in P.items() if c * scalar}),
+        (p.partial(0), ref_partial(P, 0)),
+        (p.partial(1), ref_partial(P, 1)),
+        (p.compose([s, t]), ref_compose(P, [S, T], 3)),
+        (s.compose([p, q, p - q]), ref_compose(S, [P, Q, ref_add(P, _negated(Q))], 2)),
+        (p.monic(), {e: c / p.leading_term()[1] for e, c in P.items()} if P else {}),
+    ]
+    for poly, reference in checks:
+        assert ref_terms(poly) == reference
+        assert kernel_invariants_hold(poly)
+    assert kernel_invariants_hold(p) and kernel_invariants_hold(s)
+    assert Polynomial(2, P) == p
+
+
+@settings(max_examples=120, deadline=None)
+@given(polynomials(), polynomials(), polynomials())
+def test_try_divide_agrees_with_the_reference(p, q, r):
+    if q.is_zero:
+        return
+    for dividend in (p, p * q, p * q + r):
+        quotient = dividend.try_divide(q)
+        reference = ref_try_divide(ref_terms(dividend), ref_terms(q))
+        if reference is None:
+            assert quotient is None
+        else:
+            assert ref_terms(quotient) == reference
+            assert kernel_invariants_hold(quotient)
+    assert (p * q).try_divide(q) == p
+
+
+def test_representation_is_content_times_primitive_ints():
+    x, y = Polynomial.variables(2)
+    p = Fraction(3, 2) * x * x * y - 3
+    assert p._c == Fraction(3, 2)
+    assert p._terms == {(2, 1): 1, (0, 0): -2}
+    assert -p == Polynomial(2, {(2, 1): Fraction(-3, 2), (0, 0): 3})
+    assert (-p)._terms == {(2, 1): -1, (0, 0): 2}
+    zero = p - p
+    assert zero._terms == {} and zero._c == 1
+    assert (p * 0)._c == 1 and (p * Polynomial.zero(2))._c == 1
+    for poly in (p, -p, zero, p * p, p.partial(0), p.monic()):
+        assert kernel_invariants_hold(poly)
+
+
+def test_gcd_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    for nvars in (1, 2, 3):
+        gens = sympy.symbols(f"x0:{nvars}")
+        for _ in range(12):
+            a, b, m = (_random_poly(rng, nvars, 2) for _ in range(3))
+            p, q = a * m, b * m
+            if p.is_zero or q.is_zero:
+                continue
+            ours = poly_gcd(p, q)
+            as_sympy = [
+                sympy.Poly.from_dict(
+                    {e: sympy.Rational(c.numerator, c.denominator) for e, c in f.terms()},
+                    *gens,
+                    domain="QQ",
+                )
+                for f in (p, q)
+            ]
+            theirs = sympy.gcd(*as_sympy)
+            converted = Polynomial(
+                nvars, {tuple(e): Fraction(str(c)) for e, c in theirs.terms()}
+            )
+            assert ours == converted.monic()

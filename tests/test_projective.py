@@ -16,6 +16,8 @@ from webfol.forms import SymForm, SymTensor, generic_sample_points
 from webfol.poly import Polynomial
 from webfol.projective import (
     BezoutSystem,
+    _certainly_infinite_order,
+    _torsion_exponent,
     ProjMap,
     export_system,
     group_closure,
@@ -24,6 +26,7 @@ from webfol.projective import (
     parse_system,
     preserves,
     pullback,
+    preserving_candidates,
     pullback_tensor,
     signed_permutations,
     verify_bound,
@@ -333,6 +336,94 @@ def test_closure_cap_exceeded_for_infinite_group():
     assert preserves(dilation, radial_form())
     with pytest.raises(CapExceededError):
         group_closure([dilation], radial_form(), cap=60)
+
+
+def test_closure_refuses_a_generator_of_infinite_order():
+    cases = [
+        (conic_pencil_form(), ProjMap.diagonal([1, Fraction(1, 2), Fraction(1, 2)])),
+        (radial_form(), ProjMap.diagonal([1, 1, 3])),
+    ]
+    for form, dilation in cases:
+        assert preserves(dilation, form)
+        with pytest.raises(CapExceededError, match="infinite order"):
+            group_closure([ProjMap.identity(3), dilation], form)
+
+
+def test_closure_cap_backstops_finite_generators_of_an_infinite_group():
+    # Two projective involutions fixing [0:0:1], whose product is unipotent.
+    first = ProjMap([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    second = ProjMap([[-1, 2, 0], [0, 1, 0], [0, 0, 1]])
+    assert (second @ second) == ProjMap.identity(3)
+    assert not _certainly_infinite_order(first)
+    assert not _certainly_infinite_order(second)
+    assert _certainly_infinite_order(first @ second)
+    with pytest.raises(CapExceededError, match="cap of 40"):
+        group_closure([first, second], radial_form(), cap=40)
+
+
+def test_torsion_exponents():
+    assert [_torsion_exponent(n) for n in (2, 3, 4)] == [12, 2520, 720720]
+
+
+def test_signed_permutations_pass_the_infinite_order_test():
+    for n in (2, 3, 4):
+        maps = signed_permutations(n)
+        assert maps and not any(_certainly_infinite_order(g) for g in maps)
+
+
+def _companion(coefficients):
+    """Companion matrix of the monic x^n + c_{n-1} x^{n-1} + ... + c_0."""
+    n = len(coefficients)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(1, n):
+        rows[i][i - 1] = 1
+    for i, c in enumerate(coefficients):
+        rows[i][n - 1] = -c
+    return rows
+
+
+def test_infinite_order_test_on_rational_rotations_and_shears():
+    # Companion matrices of cyclotomic polynomials have finite order e.
+    finite = {
+        5: [1, 1, 1, 1],  # Phi_5, order 5 in PGL_4
+        8: [1, 0, 0, 0],  # Phi_8 = x^4 + 1
+        12: [1, 0, -1, 0],  # Phi_12 = x^4 - x^2 + 1
+        6: [1, -1],  # Phi_6 in PGL_2
+    }
+    for order, coefficients in finite.items():
+        g = ProjMap(_companion(coefficients))
+        power = g
+        for _ in range(order - 1):
+            power = power @ g
+        assert power == ProjMap.identity(g.size)
+        assert not _certainly_infinite_order(g)
+    for rows in ([[1, 1], [0, 1]], [[2, 1], [1, 1]], [[1, 0, 0], [0, 3, 0], [0, 0, 3]]):
+        assert _certainly_infinite_order(ProjMap(rows))
+    # A denominator divisible by the test's prime skips the test.
+    assert not _certainly_infinite_order(ProjMap.diagonal([1, Fraction(1, 2**61 - 1)]))
+
+
+# Orders at the parent commit of the closure of every preserving signed
+# permutation, for every shipped form.
+SHIPPED_CLOSURE_ORDERS = {
+    "conic_pencil.json": 8,
+    "contact_p3.json": 32,
+    "double_pencil.json": 8,
+    "example.json": 2,
+    "pencil_p3.json": 32,
+    "radial.json": 8,
+    "symmetric_pencil.json": 6,
+    "two_web.json": 8,
+    "web_degree3.json": 8,
+}
+
+
+def test_shipped_finite_closures_keep_their_orders():
+    orders = {
+        name: group_closure(preserving_candidates(form), form).order
+        for name, form in shipped_forms().items()
+    }
+    assert orders == SHIPPED_CLOSURE_ORDERS
 
 
 def test_default_cap_value():
