@@ -118,6 +118,20 @@ def int_to_decimal(n: int) -> str:
             sys.set_int_max_str_digits(old)
 
 
+def power_to_decimal(base: int, exponent: int) -> str:
+    """Decimal string of base**exponent, byte-identical to str(base**exponent).
+
+    The power is formed in :mod:`decimal`, whose multiplication of large
+    operands is subquadratic and whose values print without a base
+    conversion; ``str`` of a big ``int`` is quadratic in its digit count on
+    Python 3.11.  The context traps ``Inexact``, so no digit is ever rounded.
+    """
+    context = decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact]
+    )
+    return str(context.power(decimal.Decimal(base), exponent))
+
+
 def web_bound_parts(d: int, k: int, N: int) -> tuple[int, int]:
     """Base d + 2k and exponent (N+1)^2 - 1 of the web bound, domain-checked."""
     if d < 0:
@@ -214,7 +228,7 @@ class BoundReport:
             "digit_count": self.digit_count,
         }
         if full_digits:
-            doc["final_bound"] = int_to_decimal(self.final_bound)
+            doc["final_bound"] = power_to_decimal(self.base, self.exponent)
         return doc
 
 

@@ -383,12 +383,11 @@ def _cmd_bounds(args) -> tuple[int, dict | list]:
             raise InputError("web bound needs all of --d, --k, --n")
         base, exponent = bounds_mod.web_bound_parts(args.d, args.k, args.n)
         bounds_mod.check_report_size(base, exponent)
-        value = bounds_mod.web_aut_bound(args.d, args.k, args.n)
         return EXIT_OK, {
             "d": args.d,
             "k": args.k,
             "N": args.n,
-            "bound": bounds_mod.int_to_decimal(value),
+            "bound": bounds_mod.power_to_decimal(base, exponent),
             "digit_count": bounds_mod.power_digit_count(base, exponent),
         }
     if not pair_mode:

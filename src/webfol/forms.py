@@ -112,18 +112,25 @@ class SymTensor:
     def __add__(self, other: "SymTensor") -> "SymTensor":
         if self.ndiff != other.ndiff or self.k != other.k:
             raise InputError("tensor shape mismatch in addition")
+        if self.coeffs and other.coeffs and self.coeff_nvars() != other.coeff_nvars():
+            raise InputError("coefficient polynomials disagree on variable count")
         out = dict(self.coeffs)
         for dmono, poly in other.coeffs.items():
-            out[dmono] = out.get(dmono, Polynomial.zero(poly.nvars)) + poly
-        return SymTensor(self.ndiff, self.k, out)
+            if dmono in out:
+                poly = out[dmono] + poly
+                if not poly:
+                    del out[dmono]
+                    continue
+            out[dmono] = poly
+        return _tensor(self.ndiff, self.k, out)
 
     def __sub__(self, other: "SymTensor") -> "SymTensor":
         return self + other.scale(-1)
 
     def scale(self, factor: Union[Polynomial, Scalar]) -> "SymTensor":
-        return SymTensor(
-            self.ndiff, self.k, {d: p * factor for d, p in self.coeffs.items()}
-        )
+        # Q[x] is a domain: a nonzero factor leaves every coefficient nonzero.
+        scaled = {d: p * factor for d, p in self.coeffs.items()}
+        return _tensor(self.ndiff, self.k, scaled if factor else {})
 
     def sym_mul(self, other: "SymTensor") -> "SymTensor":
         """Symmetric product; multi-indices add, coefficients multiply."""
@@ -138,7 +145,7 @@ class SymTensor:
                     out[dmono] = out[dmono] + prod
                 else:
                     out[dmono] = prod
-        return SymTensor(self.ndiff, self.k + other.k, out)
+        return _tensor(self.ndiff, self.k + other.k, {d: p for d, p in out.items() if p})
 
     def euler_contraction(self) -> "SymTensor":
         """Contract against the radial field: dx^I picks up i_j * x_j per slot."""
@@ -175,6 +182,20 @@ class SymTensor:
 
     def __repr__(self):
         return f"SymTensor(ndiff={self.ndiff}, k={self.k}, {self.render()})"
+
+
+def _tensor(ndiff: int, k: int, coeffs: dict[MultiIndex, Polynomial]) -> SymTensor:
+    """A tensor from results of tensor operations, unchecked.
+
+    The counterpart of ``poly._make``: callers guarantee multi-indices of
+    length ``ndiff`` summing to ``k``, nonzero coefficients, and one
+    variable count among them.
+    """
+    t = object.__new__(SymTensor)
+    t.ndiff = ndiff
+    t.k = k
+    t.coeffs = coeffs
+    return t
 
 
 class SymForm(SymTensor):

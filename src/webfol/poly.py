@@ -92,7 +92,7 @@ class Polynomial:
             raise InputError(f"variable index {index} out of range for nvars={nvars}")
         exp = [0] * nvars
         exp[index] = 1
-        return cls(nvars, {tuple(exp): Fraction(1)})
+        return _make(nvars, {tuple(exp): 1}, _ONE)
 
     @classmethod
     def monomial(cls, nvars: int, exp: Exponent, coeff: Scalar = 1) -> "Polynomial":
@@ -288,8 +288,9 @@ class Polynomial:
             raise InputError("substituted polynomials disagree on variable count")
         # Term c*v*x^e becomes (c * v * prod c_i^e_i) * prod S_i^e_i, where
         # s_i = c_i * S_i.  The scalars are brought over one denominator so
-        # the sum runs in ints and is normalised once.  Powers of each S_i
-        # are cached as they are needed.
+        # the sum runs in ints and is normalised once; when every c_i is 1
+        # they are the ints v themselves.  Powers of each S_i are cached as
+        # they are needed.
         one = {(0,) * target: 1}
         powers: list[dict[int, dict[Exponent, int]]] = [{0: one} for _ in substitutions]
 
@@ -299,23 +300,26 @@ class Polynomial:
                 cache[e] = _mul_ints(power(i, e - 1), substitutions[i]._terms)
             return cache[e]
 
-        scaled = []
-        for exp, v in self._terms.items():
-            scalar = Fraction(v)
-            for s, e in zip(substitutions, exp):
-                if e:
-                    scalar *= s._c ** e
-            scaled.append((exp, scalar))
-        den = math.lcm(*(scalar.denominator for _, scalar in scaled))
+        if all(s._c == 1 for s in substitutions):
+            den, weights = 1, self._terms.items()
+        else:
+            scaled = []
+            for exp, v in self._terms.items():
+                scalar = Fraction(v)
+                for s, e in zip(substitutions, exp):
+                    if e:
+                        scalar *= s._c ** e
+                scaled.append((exp, scalar))
+            den = math.lcm(*(scalar.denominator for _, scalar in scaled))
+            weights = [(exp, c.numerator * (den // c.denominator)) for exp, c in scaled]
         total: dict[Exponent, int] = {}
         get = total.get
-        for exp, scalar in scaled:
+        for exp, k in weights:
             factors = [power(i, e) for i, e in enumerate(exp) if e] or [one]
             last = factors.pop()
             head = factors[0] if factors else one
             for f in factors[1:]:
                 head = _mul_ints(head, f)
-            k = scalar.numerator * (den // scalar.denominator)
             for ea, va in head.items():
                 va *= k
                 for eb, vb in last.items():
@@ -385,13 +389,14 @@ class Polynomial:
     # -- serialisation ------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "nvars": self.nvars,
-            "terms": [
-                {"exp": list(exp), "num": str(c.numerator), "den": str(c.denominator)}
-                for exp, c in self.terms()
-            ],
-        }
+        # Term v*a/b (content a/b in lowest terms) reduces by g = gcd(v, b).
+        a, b = self._c.numerator, self._c.denominator
+        terms = []
+        for exp in sorted(self._terms, key=grlex_key, reverse=True):
+            v = self._terms[exp]
+            g = math.gcd(v, b)
+            terms.append({"exp": list(exp), "num": str(v // g * a), "den": str(b // g)})
+        return {"nvars": self.nvars, "terms": terms}
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Polynomial":

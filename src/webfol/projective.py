@@ -9,11 +9,13 @@ generators, and the order bound check against (d + 2k)^((N+1)^2 - 1).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -27,10 +29,11 @@ from .forms import (
     SymForm,
     SymTensor,
     _fraction_str,
+    _tensor,
     multi_indices,
     proportionality_constant,
 )
-from .poly import Polynomial, Scalar
+from .poly import Polynomial, Scalar, _constant
 
 DEFAULT_CLOSURE_CAP = 100_000
 
@@ -38,31 +41,41 @@ DEFAULT_CLOSURE_CAP = 100_000
 class ProjMap:
     """An element of PGL: an invertible rational matrix, fixed up to scale.
 
-    The stored representative is normalised so that the first nonzero entry
-    in row-major order equals 1; equality and hashing use that normal form.
+    The stored representative ``_m`` is the primitive integer matrix (gcd of
+    the entries 1) whose first nonzero entry in row-major order is positive.
+    It is unique per projective class, so equality and hashing use it.
+    ``entries`` is the rational representative whose first nonzero entry is
+    1, formed on first use.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("_m", "_entries")
 
     def __init__(self, rows: Sequence[Sequence[Scalar]]):
         n = len(rows)
         if n < 2 or any(len(row) != n for row in rows):
             raise InputError("projective map needs a square matrix of size >= 2")
-        matrix = tuple(tuple(Fraction(v) for v in row) for row in rows)
-        pivot = next((v for row in matrix for v in row if v), None)
-        if pivot is None:
+        ints = _integral([[Fraction(v) for v in row] for row in rows])
+        if not any(v for row in ints for v in row):
             raise ValidationError("singular_matrix", "zero matrix is not invertible")
-        matrix = tuple(tuple(v / pivot for v in row) for row in matrix)
-        if _determinant(matrix) == 0:
+        if _determinant(ints) == 0:
             raise ValidationError("singular_matrix", "matrix is not invertible")
-        object.__setattr__(self, "entries", matrix)
+        object.__setattr__(self, "_m", _primitive_matrix(ints))
+        object.__setattr__(self, "_entries", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjMap is immutable")
 
     @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._entries is None:
+            pivot = next(v for row in self._m for v in row if v)
+            entries = tuple(tuple(Fraction(v, pivot) for v in row) for row in self._m)
+            object.__setattr__(self, "_entries", entries)
+        return self._entries
+
+    @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self._m)
 
     @classmethod
     def identity(cls, n: int) -> "ProjMap":
@@ -90,23 +103,21 @@ class ProjMap:
     def __matmul__(self, other: "ProjMap") -> "ProjMap":
         if not isinstance(other, ProjMap) or other.size != self.size:
             raise InputError("size mismatch in projective map product")
-        n = self.size
-        return ProjMap(
-            [
-                [
-                    sum((self.entries[i][m] * other.entries[m][j] for m in range(n)), Fraction(0))
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
+        # A product of invertible maps is invertible: no determinant.
+        columns = list(zip(*other._m))
+        return _make_map(
+            _primitive_matrix([[sum(map(mul, row, col)) for col in columns] for row in self._m])
         )
 
     def inverse(self) -> "ProjMap":
         n = self.size
-        aug = [list(self.entries[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        aug = [
+            [Fraction(v) for v in self._m[i]] + [Fraction(int(i == j)) for j in range(n)]
+            for i in range(n)
+        ]
         for col in range(n):
             pivot_row = next((r for r in range(col, n) if aug[r][col]), None)
-            assert pivot_row is not None, "normalised maps are invertible"
+            assert pivot_row is not None, "projective maps are invertible"
             aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
             pivot = aug[col][col]
             aug[col] = [v / pivot for v in aug[col]]
@@ -114,7 +125,7 @@ class ProjMap:
                 if r != col and aug[r][col]:
                     factor = aug[r][col]
                     aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-        return ProjMap([row[n:] for row in aug])
+        return _make_map(_primitive_matrix(_integral([row[n:] for row in aug])))
 
     def sort_key(self):
         return tuple(v for row in self.entries for v in row)
@@ -122,10 +133,10 @@ class ProjMap:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProjMap):
             return NotImplemented
-        return self.entries == other.entries
+        return self._m == other._m
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash(self._m)
 
     def __repr__(self):
         return f"ProjMap({[[str(v) for v in row] for row in self.entries]})"
@@ -149,6 +160,36 @@ class ProjMap:
         return cls([values[i * n : (i + 1) * n] for i in range(n)])
 
 
+# -- trusted construction of maps -------------------------------------------------
+#
+# Products and inverses of invertible maps are invertible, so they are built
+# from their primitive integer matrix without a determinant.
+
+
+def _make_map(m: tuple[tuple[int, ...], ...]) -> ProjMap:
+    """A map from its primitive, sign-normalised int matrix, unchecked."""
+    g = object.__new__(ProjMap)
+    object.__setattr__(g, "_m", m)
+    object.__setattr__(g, "_entries", None)
+    return g
+
+
+def _integral(rows: list[list[Fraction]]) -> list[list[int]]:
+    """A rational matrix times the lcm of its denominators."""
+    den = math.lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in rows]
+
+
+def _primitive_matrix(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """A nonzero int matrix divided by the gcd of its entries, first nonzero entry positive."""
+    g = math.gcd(*(v for row in rows for v in row))
+    if next(v for row in rows for v in row if v) < 0:
+        g = -g
+    if g == 1:
+        return tuple(map(tuple, rows))
+    return tuple(tuple(v // g for v in row) for row in rows)
+
+
 def _integer_sqrt(n: int) -> Optional[int]:
     r = int(n ** 0.5)
     for candidate in (r - 1, r, r + 1):
@@ -157,24 +198,26 @@ def _integer_sqrt(n: int) -> Optional[int]:
     return None
 
 
-def _determinant(matrix: tuple[tuple[Fraction, ...], ...]) -> Fraction:
+def _determinant(matrix: list[list[int]]) -> int:
+    """Determinant of a square int matrix by Bareiss's fraction-free elimination."""
     n = len(matrix)
     work = [list(row) for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
+    sign, previous = 1, 1
+    for col in range(n - 1):
         pivot_row = next((r for r in range(col, n) if work[r][col]), None)
         if pivot_row is None:
-            return Fraction(0)
+            return 0
         if pivot_row != col:
             work[col], work[pivot_row] = work[pivot_row], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = Fraction(1) / work[col][col]
+            sign = -sign
+        pivot = work[col][col]
         for r in range(col + 1, n):
-            if work[r][col]:
-                factor = work[r][col] * inv
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return det
+            lead = work[r][col]
+            row = work[r]
+            for c in range(col + 1, n):
+                row[c] = (row[c] * pivot - lead * work[col][c]) // previous
+        previous = pivot
+    return sign * work[n - 1][n - 1]
 
 
 # -- pullback ---------------------------------------------------------------------
@@ -185,12 +228,12 @@ def _linear_differential(row, nvars: int) -> SymTensor:
     n = len(row)
     coeffs = {}
     for m, value in enumerate(row):
-        poly = value if isinstance(value, Polynomial) else Polynomial.constant(nvars, value)
-        if not poly.is_zero:
+        poly = value if isinstance(value, Polynomial) else _constant(nvars, value)
+        if poly:
             dmono = [0] * n
             dmono[m] = 1
             coeffs[tuple(dmono)] = poly
-    return SymTensor(n, 1, coeffs)
+    return _tensor(n, 1, coeffs)
 
 
 def _pull(form: SymTensor, rows, xs, nvars: int) -> SymTensor:
@@ -201,12 +244,12 @@ def _pull(form: SymTensor, rows, xs, nvars: int) -> SymTensor:
     ``xs`` may be scalars or polynomials in that ring.
     """
     n = form.ndiff
+    zero = _constant(nvars, 0)
     coordinate_subs = [
-        sum((rows[i][j] * xs[j] for j in range(n)), Polynomial.zero(nvars))
-        for i in range(n)
+        sum((rows[i][j] * xs[j] for j in range(n)), zero) for i in range(n)
     ]
     linear = [_linear_differential(rows[i], nvars) for i in range(n)]
-    total: Optional[SymTensor] = None
+    total = _tensor(n, form.k, {})
     for dmono, poly in form.coeffs.items():
         composed = poly.compose(coordinate_subs)
         expansion: Optional[SymTensor] = None
@@ -214,9 +257,7 @@ def _pull(form: SymTensor, rows, xs, nvars: int) -> SymTensor:
             for _ in range(ij):
                 expansion = linear[j] if expansion is None else expansion.sym_mul(linear[j])
         assert expansion is not None
-        term = expansion.scale(composed)
-        total = term if total is None else total + term
-    assert total is not None
+        total = total + expansion.scale(composed)
     return total
 
 
@@ -425,9 +466,13 @@ def group_closure(
     """Close verified generators under products (breadth-first).
 
     Every generator must preserve the form; the closure therefore consists of
-    preserving maps only.  A generator proved to have infinite order, and
-    growth past ``cap`` elements, raise :class:`CapExceededError`, the
-    signal for an infinite group.
+    preserving maps only.  A generator or a new element proved to have
+    infinite order, and growth past ``cap`` elements, raise
+    :class:`CapExceededError`, the signal for an infinite group.  By Schur's
+    theorem a finitely generated torsion subgroup of PGL_n(Q) is finite, so
+    an infinite closure has elements of infinite order; the test proves
+    that of every one the search meets unless the prime hides it, and the
+    cap stays as the backstop.
     """
     gens = []
     for g in generators:
@@ -449,6 +494,10 @@ def group_closure(
             for g in gens:
                 product = element @ g
                 if product not in elements:
+                    if _certainly_infinite_order(product):
+                        raise CapExceededError(
+                            f"closure element has infinite order: {product!r}"
+                        )
                     if len(elements) >= cap:
                         raise CapExceededError(
                             f"closure exceeded the cap of {cap} elements"
@@ -460,8 +509,7 @@ def group_closure(
     return FiniteGroup(elements=ordered, generators=tuple(gens))
 
 
-# A prime for the infinite-order test; maps with an entry whose denominator
-# it divides are not tested.
+# The prime modulo which the infinite-order test computes.
 _ORDER_PRIME = 2**61 - 1
 
 
@@ -478,6 +526,7 @@ def _totient(e: int) -> int:
     return result
 
 
+@functools.cache
 def _torsion_exponent(n: int) -> int:
     """L(n) = lcm{e : phi(e) <= n(n-1)}: 12, 2520 and 720720 for n = 2, 3, 4.
 
@@ -493,16 +542,13 @@ def _torsion_exponent(n: int) -> int:
 def _certainly_infinite_order(g: ProjMap) -> bool:
     """Sound refusal: True only if g has infinite order in PGL_n(Q).
 
-    A finite-order g has g^L(n) = c*I over Q, hence also modulo the prime;
-    so a power that is not scalar modulo the prime proves infinite order.
+    If g has finite order, the power M^L(n) of its integer matrix M is an
+    integer scalar matrix c*I, hence scalar modulo the prime too; so a power
+    that is not scalar modulo the prime proves infinite order.
     """
     p = _ORDER_PRIME
-    entries = [v for row in g.entries for v in row]
-    if any(v.denominator % p == 0 for v in entries):
-        return False
     n = g.size
-    flat = [v.numerator * pow(v.denominator, -1, p) % p for v in entries]
-    base = [flat[i * n : (i + 1) * n] for i in range(n)]
+    base = [[v % p for v in row] for row in g._m]
     power = _torsion_exponent(n)
     result = [[int(i == j) for j in range(n)] for i in range(n)]
     while power:
@@ -518,11 +564,8 @@ def _certainly_infinite_order(g: ProjMap) -> bool:
 
 
 def _matmul_mod(a, b, p: int):
-    n = len(a)
-    return [
-        [sum(a[i][m] * b[m][j] for m in range(n)) % p for j in range(n)]
-        for i in range(n)
-    ]
+    columns = list(zip(*b))
+    return [[sum(map(mul, row, col)) % p for col in columns] for row in a]
 
 
 def verify_bound(order: int, d: int, k: int, N: int) -> bool:

@@ -314,3 +314,98 @@ def kernel_invariants_hold(poly: Polynomial) -> bool:
         ok = all(type(v) is int and v for v in values) and math.gcd(*values) == 1
     old_hash = hash((poly.nvars, frozenset(ref_terms(poly).items())))
     return ok and hash(poly) == old_hash
+
+
+# -- a plain reference for projective maps: the rational normal form -------------
+#
+# A map is kept as the rational matrix whose first nonzero entry (row-major)
+# is 1, as ProjMap stored it before it held a primitive integer matrix.
+
+
+def ref_normal_form(rows) -> tuple[tuple[Fraction, ...], ...]:
+    matrix = [[Fraction(v) for v in row] for row in rows]
+    pivot = next(v for row in matrix for v in row if v)
+    return tuple(tuple(v / pivot for v in row) for row in matrix)
+
+
+def ref_determinant(rows) -> Fraction:
+    work = [[Fraction(v) for v in row] for row in rows]
+    n, det = len(work), Fraction(1)
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            det = -det
+        det *= work[col][col]
+        for r in range(col + 1, n):
+            factor = work[r][col] / work[col][col]
+            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+    return det
+
+
+def ref_product(a, b) -> tuple[tuple[Fraction, ...], ...]:
+    n = len(a)
+    return ref_normal_form(
+        [[sum(a[i][m] * b[m][j] for m in range(n)) for j in range(n)] for i in range(n)]
+    )
+
+
+def ref_inverse(a) -> tuple[tuple[Fraction, ...], ...]:
+    n = len(a)
+    aug = [
+        [Fraction(v) for v in a[i]] + [Fraction(int(i == j)) for j in range(n)]
+        for i in range(n)
+    ]
+    for col in range(n):
+        pivot_row = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return ref_normal_form([row[n:] for row in aug])
+
+
+def ref_map_text(entries) -> tuple[list[str], str]:
+    """The JSON entry list and the repr of a map in the rational normal form."""
+    as_json = [
+        str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        for row in entries
+        for v in row
+    ]
+    return as_json, f"ProjMap({[[str(v) for v in row] for row in entries]})"
+
+
+def pullback_identity_holds(form: SymTensor, transform: ProjMap, pulled: SymTensor, x, v) -> bool:
+    """sum_I A_I(Tx) (Tv)^I == sum_J B_J(x) v^J at one point x and one vector v.
+
+    T is the map's rational normal form; A are the form's coefficients and B
+    the pulled-back ones, evaluated with ``Polynomial.evaluate`` only.
+    """
+    T = transform.entries
+    n = len(T)
+    tx = [sum(T[i][j] * x[j] for j in range(n)) for i in range(n)]
+    tv = [sum(T[i][j] * v[j] for j in range(n)) for i in range(n)]
+
+    def monomial(values, dmono):
+        out = Fraction(1)
+        for value, e in zip(values, dmono):
+            out *= value ** e
+        return out
+
+    lhs = sum(A.evaluate(tx) * monomial(tv, I) for I, A in form.coeffs.items())
+    rhs = sum(B.evaluate(x) * monomial(v, J) for J, B in pulled.coeffs.items())
+    return lhs == rhs
+
+
+def tensor_invariants_hold(tensor: SymTensor) -> bool:
+    """Valid multi-indices, no zero coefficient, one ring, and the kernel invariants."""
+    nvars = {p.nvars for p in tensor.coeffs.values()}
+    return len(nvars) <= 1 and all(
+        len(I) == tensor.ndiff and min(I) >= 0 and sum(I) == tensor.k
+        and not A.is_zero and kernel_invariants_hold(A)
+        for I, A in tensor.coeffs.items()
+    )

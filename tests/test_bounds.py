@@ -14,6 +14,7 @@ from webfol.bounds import (
     int_to_decimal,
     pluricanonical_multiple,
     power_digit_count,
+    power_to_decimal,
     section_bound,
     tangency_numbers,
     very_ampleness_threshold,
@@ -205,6 +206,17 @@ def test_report_json_hides_decimal_by_default():
 
 
 # -- digit counting -----------------------------------------------------------------
+
+
+def test_power_to_decimal_matches_the_int_rendering_on_seeded_pairs():
+    rng = random.Random(2026)
+    pairs = [(10, 3), (20, 5), (10, 25), (161, 2600), (3, 12000), (2408, 1), (7, 0)]
+    for digits in (10, 300, 5_000, 40_000, 100_000):
+        for base in (rng.randint(2, 9), rng.randint(11, 10**6), 10 * rng.randint(1, 500)):
+            pairs.append((base, max(1, round(digits / math.log10(base)))))
+    for base, exponent in pairs:
+        assert power_to_decimal(base, exponent) == int_to_decimal(base ** exponent), (base, exponent)
+    assert len(power_to_decimal(2408, 617795)) == 2089171
 
 
 def test_decimal_digit_count_boundaries():

@@ -237,6 +237,22 @@ def test_radial_lie_derivative_is_d_plus_2k_times_every_fixture_form():
         assert proportionality_constant(form, derivative) == form.degree + 2 * form.k, name
 
 
+def test_tensor_operations_drop_cancelled_coefficients():
+    x, y, z = Polynomial.variables(3)
+    one = Polynomial.constant(3, 1)
+    plus = SymTensor(3, 1, {(1, 0, 0): one, (0, 1, 0): one})
+    minus = SymTensor(3, 1, {(1, 0, 0): one, (0, 1, 0): -one})
+    # (dx0 + dx1)(dx0 - dx1) = dx0^2 - dx1^2: the dx0*dx1 terms cancel.
+    product = plus.sym_mul(minus)
+    assert product.coeffs == {(2, 0, 0): one, (0, 2, 0): -one}
+    assert (plus + minus.scale(-1)).coeffs == {(0, 1, 0): 2 * one}
+    assert (plus - plus).is_zero and plus.scale(0).is_zero
+    assert plus.scale(Polynomial.zero(3)).is_zero
+    assert plus.scale(x - y).coeffs == {(1, 0, 0): x - y, (0, 1, 0): x - y}
+    with pytest.raises(InputError):
+        plus + SymTensor(3, 1, {(0, 0, 1): Polynomial.constant(2, 1)})
+
+
 def test_proportionality_constant_edge_cases():
     form = example_form()
     zero = SymTensor(3, 1, {})

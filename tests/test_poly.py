@@ -316,6 +316,19 @@ def test_try_divide_agrees_with_the_reference(p, q, r):
     assert (p * q).try_divide(q) == p
 
 
+@settings(max_examples=150, deadline=None)
+@given(polynomials(nvars=3), st.fractions(min_value=-50, max_value=50, max_denominator=60))
+def test_json_terms_agree_with_the_rational_terms(p, scale):
+    scaled = p * scale
+    assert scaled.to_json_dict() == {
+        "nvars": 3,
+        "terms": [
+            {"exp": list(exp), "num": str(c.numerator), "den": str(c.denominator)}
+            for exp, c in scaled.terms()
+        ],
+    }
+
+
 def test_representation_is_content_times_primitive_ints():
     x, y = Polynomial.variables(2)
     p = Fraction(3, 2) * x * x * y - 3

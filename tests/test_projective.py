@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from webfol.errors import (
     CapExceededError,
@@ -13,8 +15,10 @@ from webfol.errors import (
     ValidationError,
 )
 from webfol.forms import SymForm, SymTensor, generic_sample_points
+from webfol import projective
 from webfol.poly import Polynomial
 from webfol.projective import (
+    DEFAULT_CLOSURE_CAP,
     BezoutSystem,
     _certainly_infinite_order,
     _torsion_exponent,
@@ -38,11 +42,18 @@ from helpers import (
     fix_leading_variables,
     minors_vanish,
     normalise_tensor,
+    pullback_identity_holds,
     radial_form,
     random_projmap,
+    ref_determinant,
+    ref_inverse,
+    ref_map_text,
+    ref_normal_form,
+    ref_product,
     scaled_copy,
     shipped_forms,
     symmetric_pencil_form,
+    tensor_invariants_hold,
 )
 
 X, Y, Z = Polynomial.variables(3)
@@ -349,16 +360,26 @@ def test_closure_refuses_a_generator_of_infinite_order():
             group_closure([ProjMap.identity(3), dilation], form)
 
 
-def test_closure_cap_backstops_finite_generators_of_an_infinite_group():
-    # Two projective involutions fixing [0:0:1], whose product is unipotent.
+def test_closure_refuses_finite_generators_of_an_infinite_group():
+    # Two projective involutions fixing [0:0:1], whose product is unipotent:
+    # the closure is refused at that first product, well before any cap.
     first = ProjMap([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
     second = ProjMap([[-1, 2, 0], [0, 1, 0], [0, 0, 1]])
     assert (second @ second) == ProjMap.identity(3)
     assert not _certainly_infinite_order(first)
     assert not _certainly_infinite_order(second)
     assert _certainly_infinite_order(first @ second)
-    with pytest.raises(CapExceededError, match="cap of 40"):
-        group_closure([first, second], radial_form(), cap=40)
+    for cap in (40, DEFAULT_CLOSURE_CAP):
+        with pytest.raises(CapExceededError, match="closure element has infinite order"):
+            group_closure([first, second], radial_form(), cap=cap)
+
+
+def test_closure_cap_backstops_a_finite_group_larger_than_the_cap():
+    form = shipped_forms()["conic_pencil.json"]
+    generators = preserving_candidates(form)
+    assert group_closure(generators, form).order == 8
+    with pytest.raises(CapExceededError, match="cap of 2 elements"):
+        group_closure(generators, form, cap=2)
 
 
 def test_torsion_exponents():
@@ -399,8 +420,9 @@ def test_infinite_order_test_on_rational_rotations_and_shears():
         assert not _certainly_infinite_order(g)
     for rows in ([[1, 1], [0, 1]], [[2, 1], [1, 1]], [[1, 0, 0], [0, 3, 0], [0, 0, 3]]):
         assert _certainly_infinite_order(ProjMap(rows))
-    # A denominator divisible by the test's prime skips the test.
-    assert not _certainly_infinite_order(ProjMap.diagonal([1, Fraction(1, 2**61 - 1)]))
+    # The test reads the primitive integer matrix, so no denominator is
+    # skipped: diag(1, 1/p) is diag(p, 1), of infinite order.
+    assert _certainly_infinite_order(ProjMap.diagonal([1, Fraction(1, 2**61 - 1)]))
 
 
 # Orders at the parent commit of the closure of every preserving signed
@@ -492,3 +514,104 @@ def test_candidate_search_certifies_groups_from_below():
     found_example = preserving_candidates(example)
     assert ProjMap.identity(3) in found_example
     assert all(preserves(m, example) for m in found_example)
+
+
+# -- the integer representation against the rational reference ---------------------
+
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def invertible_matrices(draw, n=None):
+    n = n or draw(st.integers(min_value=2, max_value=4))
+    rows = [[draw(small_fractions) for _ in range(n)] for _ in range(n)]
+    assume(ref_determinant(rows) != 0)
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=4).flatmap(
+    lambda n: st.tuples(invertible_matrices(n), invertible_matrices(n))
+), small_fractions.filter(bool))
+def test_projmap_agrees_with_the_rational_reference(pair, scale):
+    rows_a, rows_b = pair
+    a, b = ProjMap(rows_a), ProjMap(rows_b)
+    ref_a, ref_b = ref_normal_form(rows_a), ref_normal_form(rows_b)
+    assert a.entries == ref_a
+    assert a.sort_key() == tuple(v for row in ref_a for v in row)
+    as_json, text = ref_map_text(ref_a)
+    assert a.to_json_list() == as_json and repr(a) == text
+    assert (a == b) == (ref_a == ref_b)
+    scaled = ProjMap([[scale * v for v in row] for row in rows_a])
+    assert scaled == a and hash(scaled) == hash(a)
+    assert (a @ b).entries == ref_product(ref_a, ref_b)
+    assert a.inverse().entries == ref_inverse(ref_a)
+    if all(v.denominator == 1 for row in ref_a for v in row):
+        assert hash(a) == hash(ref_a)  # the hash of the rational normal form
+    assert _certainly_infinite_order(a) == _certainly_infinite_order(scaled)
+
+
+def test_products_in_a_closure_take_no_determinant(monkeypatch):
+    form = shipped_forms()["contact_p3.json"]
+    generators = preserving_candidates(form)
+    calls = []
+    real = projective._determinant
+
+    def counting(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(projective, "_determinant", counting)
+    group = group_closure(generators, form)
+    assert group.order == 32
+    assert calls == [[[int(i == j) for j in range(4)] for i in range(4)]]  # the identity
+
+
+def _random_rational_map(rng, n):
+    while True:
+        rows = [
+            [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        if ref_determinant(rows):
+            return ProjMap(rows)
+
+
+def test_pullback_satisfies_the_substitution_identity_on_every_fixture():
+    rng = random.Random(7)
+    for name, form in shipped_forms().items():
+        n = form.ndiff
+        # dx0 -> dx0 + dx1 and dx1 -> dx0 - dx1: their product cancels in dx0*dx1.
+        hadamard = ProjMap(
+            [[1, 1] + [0] * (n - 2), [1, -1] + [0] * (n - 2)]
+            + [[int(i == j) for j in range(n)] for i in range(2, n)]
+        )
+        maps = [random_projmap(rng, n), _random_rational_map(rng, n), hadamard]
+        for m in maps:
+            pulled = pullback_tensor(m, form)
+            assert tensor_invariants_hold(pulled), name
+            for _ in range(2):
+                x = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+                v = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+                assert pullback_identity_holds(form, m, pulled, x, v), (name, m)
+
+
+def test_every_pull_result_keeps_the_invariants(monkeypatch):
+    results = []
+    real = projective._pull
+
+    def recording(*args):
+        out = real(*args)
+        results.append(out)
+        return out
+
+    monkeypatch.setattr(projective, "_pull", recording)
+    rng = random.Random(11)
+    for name, form in shipped_forms().items():
+        pullback_tensor(_random_rational_map(rng, form.ndiff), form)
+        preserves(ProjMap.swap(form.ndiff, 0, 1), form)
+        invariance_system(form, generic_sample_points(form, 1))
+        if form.ndiff == 3:
+            invariance_system_symbolic(form)
+    assert len(results) > 2 * len(shipped_forms())
+    assert all(tensor_invariants_hold(t) for t in results)
