@@ -206,15 +206,7 @@ def _cell(value) -> str:
 
 
 def _tensor_doc(tensor: SymTensor):
-    if tensor.is_zero:
-        return "0"
-    return {
-        "k": tensor.k,
-        "coeffs": [
-            {"dmono": list(dmono), "poly": tensor.coeffs[dmono].to_json_dict()}
-            for dmono in sorted(tensor.coeffs, reverse=True)
-        ],
-    }
+    return "0" if tensor.is_zero else tensor.to_json_dict()
 
 
 # -- command handlers ------------------------------------------------------------

@@ -21,7 +21,10 @@ generic line.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
@@ -32,7 +35,7 @@ from .errors import (
     SingularPointError,
     ValidationError,
 )
-from .poly import Polynomial, Scalar, poly_gcd_many
+from .poly import _ONE, Polynomial, Scalar, _make, _primitive, poly_gcd_many
 
 MultiIndex = tuple[int, ...]
 
@@ -133,38 +136,38 @@ class SymTensor:
         return _tensor(self.ndiff, self.k, scaled if factor else {})
 
     def sym_mul(self, other: "SymTensor") -> "SymTensor":
-        """Symmetric product; multi-indices add, coefficients multiply."""
+        """Symmetric product: the product of the symbols."""
         if self.ndiff != other.ndiff:
             raise InputError("tensor shape mismatch in symmetric product")
-        out: dict[MultiIndex, Polynomial] = {}
-        for da, pa in self.coeffs.items():
-            for db, pb in other.coeffs.items():
-                dmono = tuple(a + b for a, b in zip(da, db))
-                prod = pa * pb
-                if dmono in out:
-                    out[dmono] = out[dmono] + prod
-                else:
-                    out[dmono] = prod
-        return _tensor(self.ndiff, self.k + other.k, {d: p for d, p in out.items() if p})
+        k = self.k + other.k
+        if not self.coeffs or not other.coeffs:
+            return _tensor(self.ndiff, k, {})
+        if self.coeff_nvars() != other.coeff_nvars():
+            raise InputError(
+                f"variable-count mismatch: {self.coeff_nvars()} vs {other.coeff_nvars()}"
+            )
+        return _split(_symbol(self) * _symbol(other), self.ndiff, k)
 
     def euler_contraction(self) -> "SymTensor":
-        """Contract against the radial field: dx^I picks up i_j * x_j per slot."""
+        """Contract against the radial field: sum_j x_j dW/dy_j on the symbol W."""
         if self.k == 0:
             raise InputError("cannot contract a 0-tensor")
-        out: dict[MultiIndex, Polynomial] = {}
-        for dmono, poly in self.coeffs.items():
-            for j, ij in enumerate(dmono):
-                if ij == 0:
-                    continue
-                target = list(dmono)
-                target[j] -= 1
-                key = tuple(target)
-                contribution = poly * Polynomial.variable(poly.nvars, j) * ij
-                if key in out:
-                    out[key] = out[key] + contribution
-                else:
-                    out[key] = contribution
-        return SymTensor(self.ndiff, self.k - 1, out)
+        m, n = self.coeff_nvars(), self.ndiff
+        symbol = _symbol(self)
+        slots = [symbol.partial(m + j) for j in range(n)]
+        for j in range(m, n):
+            if slots[j]:
+                raise InputError(f"variable index {j} out of range for nvars={m}")
+        return _split(_dot(Polynomial.variables(m + n)[:n], slots, m + n), n, self.k - 1)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "k": self.k,
+            "coeffs": [
+                {"dmono": list(dmono), "poly": self.coeffs[dmono].to_json_dict()}
+                for dmono in sorted(self.coeffs, reverse=True)
+            ],
+        }
 
     def render(self) -> str:
         if self.is_zero:
@@ -196,6 +199,75 @@ def _tensor(ndiff: int, k: int, coeffs: dict[MultiIndex, Polynomial]) -> SymTens
     t.k = k
     t.coeffs = coeffs
     return t
+
+
+# -- the symbol of a tensor ------------------------------------------------------
+#
+# Sym^k of the differentials is the space of degree-k polynomials in fibre
+# coordinates y, so a tensor sum_I A_I dx^I is one polynomial, its symbol
+# W = sum_I A_I y^I with the y last; the tensor operations are ring operations on W.
+
+
+def _symbol(t: SymTensor) -> Polynomial:
+    """The symbol of a tensor, its coefficients brought over one denominator."""
+    m = t.coeff_nvars()
+    if not t.coeffs:
+        return _make(m + t.ndiff, {}, _ONE)
+    # Each coefficient is c_I * P_I with P_I primitive; c_I = g * w_I / den with
+    # coprime ints w_I makes sum_I w_I * P_I * y^I primitive.
+    den = math.lcm(*(A._c.denominator for A in t.coeffs.values()))
+    nums = {I: A._c.numerator * (den // A._c.denominator) for I, A in t.coeffs.items()}
+    g = math.gcd(*nums.values())
+    terms = {}
+    for I, A in t.coeffs.items():
+        w = nums[I] // g
+        for e, v in A._terms.items():
+            terms[e + I] = w * v
+    return _make(m + t.ndiff, terms, Fraction(g, den))
+
+
+def _split(symbol: Polynomial, ndiff: int, k: int) -> SymTensor:
+    """The k-tensor whose symbol is given; its last ndiff variables are the y."""
+    m = symbol.nvars - ndiff
+    groups: dict[MultiIndex, dict[tuple[int, ...], int]] = {}
+    for e, v in symbol._terms.items():
+        groups.setdefault(e[m:], {})[e[:m]] = v
+    return _tensor(
+        ndiff, k, {I: _primitive(m, terms, symbol._c) for I, terms in groups.items()}
+    )
+
+
+def _lift(value: Union[Polynomial, Scalar], nvars: int) -> Union[Polynomial, Scalar]:
+    """A polynomial in the first variables of a ring of nvars variables; scalars stay."""
+    if not isinstance(value, Polynomial):
+        return value
+    pad = (0,) * (nvars - value.nvars)
+    return _make(nvars, {e + pad: v for e, v in value._terms.items()}, value._c)
+
+
+def _dot(row, vector, nvars: int) -> Polynomial:
+    """sum_j row[j] * vector[j]; each product has a polynomial in nvars variables."""
+    products = [
+        a * b if isinstance(a, Polynomial) else b * a for a, b in zip(row, vector) if a and b
+    ]
+    return functools.reduce(operator.add, products) if products else _make(nvars, {}, _ONE)
+
+
+def _pull(form: SymTensor, rows, xs, nvars: int) -> SymTensor:
+    """The one pullback kernel: coefficients in the ring with ``nvars`` variables.
+
+    ``rows`` is an n x r matrix and ``xs`` has r entries, each a scalar or a
+    polynomial in that ring.  Substitutes x_i -> sum_j rows[i][j] * xs[j] in the
+    coefficients and dx_i -> sum_m rows[i][m] * dy_m in the slots, one
+    composition of the symbol; the result has r differentials dy_0 .. dy_{r-1}.
+    """
+    total = nvars + len(xs)
+    rows = [[_lift(v, total) for v in row] for row in rows]
+    xs = [_lift(v, total) for v in xs]
+    ys = [Polynomial.variable(total, nvars + m) for m in range(len(xs))]
+    dx = [_dot(row, ys, total) for row in rows]
+    pulled = _symbol(form).compose([_dot(row, xs, total) for row in rows] + dx)
+    return _split(pulled, len(xs), form.k)
 
 
 class SymForm(SymTensor):
@@ -281,14 +353,7 @@ class SymForm(SymTensor):
     # -- serialisation ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "k": self.k,
-            "coeffs": [
-                {"dmono": list(dmono), "poly": self.coeffs[dmono].to_json_dict()}
-                for dmono in sorted(self.coeffs, reverse=True)
-            ],
-        }
+        return {"N": self.N, **super().to_json_dict()}
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SymForm":
@@ -379,8 +444,9 @@ def _field_degree(field: Sequence[Polynomial]) -> int:
 def lie_derivative(field: Sequence[Polynomial], form: SymTensor) -> SymTensor:
     """Lie derivative of the form along a homogeneous polynomial vector field.
 
-    L_v (A_I dx^I) = (v . grad A_I) dx^I
-                     + A_I * sum_j i_j dx^{I - e_j} (.) d v_j.
+    On the symbol W(x, y) = sum_I A_I(x) y^I, with dv_j = sum_m (d_m v_j) y_m,
+
+        L_v W = sum_j v_j * dW/dx_j + sum_j dv_j * dW/dy_j.
     """
     n = form.ndiff
     if len(field) != n:
@@ -388,33 +454,16 @@ def lie_derivative(field: Sequence[Polynomial], form: SymTensor) -> SymTensor:
     if any(v.nvars != n for v in field):
         raise InputError("vector field components must use the ambient variables")
     _field_degree(field)
-    out: dict[MultiIndex, Polynomial] = {}
-
-    def accumulate(dmono: MultiIndex, poly: Polynomial) -> None:
-        if dmono in out:
-            out[dmono] = out[dmono] + poly
-        else:
-            out[dmono] = poly
-
-    for dmono, poly in form.coeffs.items():
-        transport = Polynomial.zero(n)
-        for j in range(n):
-            if not field[j].is_zero:
-                transport = transport + field[j] * poly.partial(j)
-        accumulate(dmono, transport)
-        for j, ij in enumerate(dmono):
-            if ij == 0:
-                continue
-            lowered = list(dmono)
-            lowered[j] -= 1
-            for m in range(n):
-                dv = field[j].partial(m)
-                if dv.is_zero:
-                    continue
-                raised = list(lowered)
-                raised[m] += 1
-                accumulate(tuple(raised), poly * dv * ij)
-    return SymTensor(n, form.k, out)
+    if form.coeffs and form.coeff_nvars() != n:
+        raise InputError(f"variable-count mismatch: {n} vs {form.coeff_nvars()}")
+    total = 2 * n
+    symbol = _symbol(form)
+    ys = [Polynomial.variable(total, n + m) for m in range(n)]
+    velocity = [_lift(v, total) for v in field] + [
+        _dot([_lift(v.partial(m), total) for m in range(n)], ys, total) for v in field
+    ]
+    gradient = [symbol.partial(i) for i in range(total)]
+    return _split(_dot(velocity, gradient, total), n, form.k)
 
 
 def proportionality_constant(reference: SymTensor, candidate: SymTensor) -> Optional[Fraction]:
@@ -497,18 +546,11 @@ def restrict_to_line(
         raise InputError(f"line points need {n} coordinates")
     if _rank2(p, q) < 2:
         raise InputError("the two points do not span a line")
-    # Work in Q[s, t, u, v] with u = ds and v = dt.
-    s, t, u, v = Polynomial.variables(4)
-    coordinate_subs = [p[i] * s + q[i] * t for i in range(n)]
-    pulled = Polynomial.zero(4)
-    for dmono, poly in form.coeffs.items():
-        term = poly.compose(coordinate_subs)
-        for j, ij in enumerate(dmono):
-            if ij:
-                term = term * (p[j] * u + q[j] * v) ** ij
-        pulled = pulled + term
+    # The pullback's symbol lives in Q[s, t, u, v] with u = ds and v = dt.
+    pulled = _symbol(_pull(form, list(zip(p, q)), Polynomial.variables(2), 2))
     if pulled.is_zero:
         raise NonGenericLineError("the form pulls back to zero on this line")
+    s, t, u, v = Polynomial.variables(4)
     divisor = (s * v - t * u) ** form.k
     quotient = pulled.try_divide(divisor)
     if quotient is None:

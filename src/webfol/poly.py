@@ -287,31 +287,26 @@ class Polynomial:
         if any(s.nvars != target for s in substitutions):
             raise InputError("substituted polynomials disagree on variable count")
         # Term c*v*x^e becomes (c * v * prod c_i^e_i) * prod S_i^e_i, where
-        # s_i = c_i * S_i.  The scalars are brought over one denominator so
-        # the sum runs in ints and is normalised once; when every c_i is 1
-        # they are the ints v themselves.  Powers of each S_i are cached as
-        # they are needed.
+        # s_i = c_i * S_i.  With c_i = a_i/b_i and E_i the largest exponent
+        # of x_i, the scalars are the ints v * prod a_i^e_i * b_i^(E_i - e_i)
+        # over den = prod b_i^E_i, so the sum runs in ints and is normalised
+        # once.  Powers of each S_i are cached as they are needed.
         one = {(0,) * target: 1}
-        powers: list[dict[int, dict[Exponent, int]]] = [{0: one} for _ in substitutions]
+        powers: list[list[dict[Exponent, int]]] = [[one] for _ in substitutions]
 
         def power(i: int, e: int) -> dict[Exponent, int]:
             cache = powers[i]
-            if e not in cache:
-                cache[e] = _mul_ints(power(i, e - 1), substitutions[i]._terms)
+            while len(cache) <= e:
+                cache.append(_mul_ints(cache[-1], substitutions[i]._terms))
             return cache[e]
 
-        if all(s._c == 1 for s in substitutions):
-            den, weights = 1, self._terms.items()
-        else:
-            scaled = []
-            for exp, v in self._terms.items():
-                scalar = Fraction(v)
-                for s, e in zip(substitutions, exp):
-                    if e:
-                        scalar *= s._c ** e
-                scaled.append((exp, scalar))
-            den = math.lcm(*(scalar.denominator for _, scalar in scaled))
-            weights = [(exp, c.numerator * (den // c.denominator)) for exp, c in scaled]
+        den, weights = 1, self._terms.items()
+        for i, s in enumerate(substitutions):
+            if s._c != 1 and self._terms:
+                a, b = s._c.numerator, s._c.denominator
+                top = max(exp[i] for exp in self._terms)
+                den *= b ** top
+                weights = [(exp, v * a ** exp[i] * b ** (top - exp[i])) for exp, v in weights]
         total: dict[Exponent, int] = {}
         get = total.get
         for exp, k in weights:

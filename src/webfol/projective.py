@@ -29,11 +29,11 @@ from .forms import (
     SymForm,
     SymTensor,
     _fraction_str,
-    _tensor,
+    _pull,
     multi_indices,
     proportionality_constant,
 )
-from .poly import Polynomial, Scalar, _constant
+from .poly import Polynomial, Scalar
 
 DEFAULT_CLOSURE_CAP = 100_000
 
@@ -221,44 +221,6 @@ def _determinant(matrix: list[list[int]]) -> int:
 
 
 # -- pullback ---------------------------------------------------------------------
-
-
-def _linear_differential(row, nvars: int) -> SymTensor:
-    """1-tensor sum_m c_m dx_m; entries may be scalars or polynomials in nvars."""
-    n = len(row)
-    coeffs = {}
-    for m, value in enumerate(row):
-        poly = value if isinstance(value, Polynomial) else _constant(nvars, value)
-        if poly:
-            dmono = [0] * n
-            dmono[m] = 1
-            coeffs[tuple(dmono)] = poly
-    return _tensor(n, 1, coeffs)
-
-
-def _pull(form: SymTensor, rows, xs, nvars: int) -> SymTensor:
-    """The one pullback kernel, in the polynomial ring with ``nvars`` variables.
-
-    Substitutes x_i -> sum_j rows[i][j] * xs[j] in the coefficients and
-    dx_i -> sum_m rows[i][m] * dx_m in the slots; entries of ``rows`` and
-    ``xs`` may be scalars or polynomials in that ring.
-    """
-    n = form.ndiff
-    zero = _constant(nvars, 0)
-    coordinate_subs = [
-        sum((rows[i][j] * xs[j] for j in range(n)), zero) for i in range(n)
-    ]
-    linear = [_linear_differential(rows[i], nvars) for i in range(n)]
-    total = _tensor(n, form.k, {})
-    for dmono, poly in form.coeffs.items():
-        composed = poly.compose(coordinate_subs)
-        expansion: Optional[SymTensor] = None
-        for j, ij in enumerate(dmono):
-            for _ in range(ij):
-                expansion = linear[j] if expansion is None else expansion.sym_mul(linear[j])
-        assert expansion is not None
-        total = total + expansion.scale(composed)
-    return total
 
 
 def pullback_tensor(transform: ProjMap, form: SymTensor) -> SymTensor:

@@ -7,8 +7,8 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from webfol.errors import ValidationError
-from webfol.forms import SymForm, SymTensor
+from webfol.errors import InputError, NonGenericLineError, ValidationError
+from webfol.forms import BinaryForm, SymForm, SymTensor, _rank2
 from webfol.poly import Polynomial
 from webfol.projective import ProjMap
 
@@ -408,4 +408,186 @@ def tensor_invariants_hold(tensor: SymTensor) -> bool:
         len(I) == tensor.ndiff and min(I) >= 0 and sum(I) == tensor.k
         and not A.is_zero and kernel_invariants_hold(A)
         for I, A in tensor.coeffs.items()
+    )
+
+
+# -- the tensor operations as expansions over differential multi-indices ---------
+#
+# webfol does its tensor algebra on the symbol sum_I A_I(x) y^I.  These are
+# the multi-index loops it used before, kept unchanged as references: only
+# the trusted constructors became the public ones.
+
+
+def ref_sym_mul(self: SymTensor, other: SymTensor) -> SymTensor:
+    """Symmetric product; multi-indices add, coefficients multiply."""
+    if self.ndiff != other.ndiff:
+        raise InputError("tensor shape mismatch in symmetric product")
+    out: dict[tuple[int, ...], Polynomial] = {}
+    for da, pa in self.coeffs.items():
+        for db, pb in other.coeffs.items():
+            dmono = tuple(a + b for a, b in zip(da, db))
+            prod = pa * pb
+            if dmono in out:
+                out[dmono] = out[dmono] + prod
+            else:
+                out[dmono] = prod
+    return SymTensor(self.ndiff, self.k + other.k, {d: p for d, p in out.items() if p})
+
+
+def ref_euler_contraction(self: SymTensor) -> SymTensor:
+    """Contract against the radial field: dx^I picks up i_j * x_j per slot."""
+    if self.k == 0:
+        raise InputError("cannot contract a 0-tensor")
+    out: dict[tuple[int, ...], Polynomial] = {}
+    for dmono, poly in self.coeffs.items():
+        for j, ij in enumerate(dmono):
+            if ij == 0:
+                continue
+            target = list(dmono)
+            target[j] -= 1
+            key = tuple(target)
+            contribution = poly * Polynomial.variable(poly.nvars, j) * ij
+            if key in out:
+                out[key] = out[key] + contribution
+            else:
+                out[key] = contribution
+    return SymTensor(self.ndiff, self.k - 1, out)
+
+
+def ref_lie_derivative(field, form: SymTensor) -> SymTensor:
+    """L_v (A_I dx^I) = (v . grad A_I) dx^I + A_I * sum_j i_j dx^{I - e_j} (.) d v_j."""
+    n = form.ndiff
+    out: dict[tuple[int, ...], Polynomial] = {}
+
+    def accumulate(dmono, poly: Polynomial) -> None:
+        if dmono in out:
+            out[dmono] = out[dmono] + poly
+        else:
+            out[dmono] = poly
+
+    for dmono, poly in form.coeffs.items():
+        transport = Polynomial.zero(n)
+        for j in range(n):
+            if not field[j].is_zero:
+                transport = transport + field[j] * poly.partial(j)
+        accumulate(dmono, transport)
+        for j, ij in enumerate(dmono):
+            if ij == 0:
+                continue
+            lowered = list(dmono)
+            lowered[j] -= 1
+            for m in range(n):
+                dv = field[j].partial(m)
+                if dv.is_zero:
+                    continue
+                raised = list(lowered)
+                raised[m] += 1
+                accumulate(tuple(raised), poly * dv * ij)
+    return SymTensor(n, form.k, out)
+
+
+def _ref_linear_differential(row, nvars: int) -> SymTensor:
+    """1-tensor sum_m c_m dx_m; entries may be scalars or polynomials in nvars."""
+    n = len(row)
+    coeffs = {}
+    for m, value in enumerate(row):
+        poly = value if isinstance(value, Polynomial) else Polynomial.constant(nvars, value)
+        if poly:
+            dmono = [0] * n
+            dmono[m] = 1
+            coeffs[tuple(dmono)] = poly
+    return SymTensor(n, 1, coeffs)
+
+
+def ref_pull(form: SymTensor, rows, xs, nvars: int) -> SymTensor:
+    """x_i -> sum_j rows[i][j] * xs[j] and dx_i -> sum_m rows[i][m] * dx_m (square rows)."""
+    n = form.ndiff
+    zero = Polynomial.constant(nvars, 0)
+    coordinate_subs = [
+        sum((rows[i][j] * xs[j] for j in range(n)), zero) for i in range(n)
+    ]
+    linear = [_ref_linear_differential(rows[i], nvars) for i in range(n)]
+    total = SymTensor(n, form.k, {})
+    for dmono, poly in form.coeffs.items():
+        composed = poly.compose(coordinate_subs)
+        expansion = None
+        for j, ij in enumerate(dmono):
+            for _ in range(ij):
+                expansion = (
+                    linear[j] if expansion is None else ref_sym_mul(expansion, linear[j])
+                )
+        assert expansion is not None
+        total = total + expansion.scale(composed)
+    return total
+
+
+def ref_restrict_to_line(form: SymForm, p, q) -> BinaryForm:
+    """Substitute x = s p + t q and dx = p ds + q dt, then divide by (s dt - t ds)^k."""
+    n = form.ndiff
+    p = [Fraction(v) for v in p]
+    q = [Fraction(v) for v in q]
+    if len(p) != n or len(q) != n:
+        raise InputError(f"line points need {n} coordinates")
+    if _rank2(p, q) < 2:
+        raise InputError("the two points do not span a line")
+    # Work in Q[s, t, u, v] with u = ds and v = dt.
+    s, t, u, v = Polynomial.variables(4)
+    coordinate_subs = [p[i] * s + q[i] * t for i in range(n)]
+    pulled = Polynomial.zero(4)
+    for dmono, poly in form.coeffs.items():
+        term = poly.compose(coordinate_subs)
+        for j, ij in enumerate(dmono):
+            if ij:
+                term = term * (p[j] * u + q[j] * v) ** ij
+        pulled = pulled + term
+    if pulled.is_zero:
+        raise NonGenericLineError("the form pulls back to zero on this line")
+    divisor = (s * v - t * u) ** form.k
+    quotient = pulled.try_divide(divisor)
+    if quotient is None:
+        raise NonGenericLineError(
+            "the pullback is not divisible by the expected tangency factor"
+        )
+    if any(exp[2] or exp[3] for exp, _ in quotient.terms()):
+        raise NonGenericLineError("unexpected differentials survive the restriction")
+    d = form.degree
+    if quotient.degree() != d or not quotient.is_homogeneous():
+        raise NonGenericLineError(
+            f"restricted form has degree {quotient.degree()}, expected {d}"
+        )
+    coefficients = [Fraction(0)] * (d + 1)
+    for exp, c in quotient.terms():
+        coefficients[exp[1]] = c
+    return BinaryForm(d, tuple(coefficients))
+
+
+def tensor_json(tensor: SymTensor) -> tuple:
+    """Everything a tensor shows: shape, coefficient ring and its JSON."""
+    return tensor.ndiff, tensor.coeff_nvars(), json.dumps(tensor.to_json_dict())
+
+
+def to_sympy(poly: Polynomial, symbols):
+    """The polynomial as a sympy expression in the given symbols."""
+    import sympy
+
+    return sum(
+        (
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(x ** e for x, e in zip(symbols, exp)))
+            for exp, c in poly.terms()
+        ),
+        sympy.Integer(0),
+    )
+
+
+def symbol_to_sympy(tensor: SymTensor, xs, ys):
+    """sum_I A_I(x) y^I as a sympy expression."""
+    import sympy
+
+    return sum(
+        (
+            to_sympy(A, xs) * sympy.Mul(*(y ** i for y, i in zip(ys, I)))
+            for I, A in tensor.coeffs.items()
+        ),
+        sympy.Integer(0),
     )

@@ -234,6 +234,13 @@ def test_compose_and_pow():
         (x + y) ** -1
 
 
+def test_compose_builds_high_powers_without_recursion():
+    # The power cache is filled in a loop: a term x0^5000 needs 5000 powers.
+    x0, x1 = Polynomial.variables(2)
+    composed = (x0 ** 5000).compose([2 * x1, x0])
+    assert composed == Polynomial.monomial(2, (0, 5000), 2 ** 5000)
+
+
 small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=4
 )

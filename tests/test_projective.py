@@ -16,6 +16,7 @@ from webfol.errors import (
 )
 from webfol.forms import SymForm, SymTensor, generic_sample_points
 from webfol import projective
+from webfol.bounds import foliation_aut_bound
 from webfol.poly import Polynomial
 from webfol.projective import (
     DEFAULT_CLOSURE_CAP,
@@ -615,3 +616,17 @@ def test_every_pull_result_keeps_the_invariants(monkeypatch):
             invariance_system_symbolic(form)
     assert len(results) > 2 * len(shipped_forms())
     assert all(tensor_invariants_hold(t) for t in results)
+
+
+@pytest.mark.parametrize("name, d", [("example.json", 2), ("symmetric_pencil.json", 4)])
+def test_certified_symmetries_respect_the_order_bounds(name, d):
+    """The closure certifies |Aut| from below; the paper's bounds cap it from above."""
+    form = shipped_forms()[name]
+    assert (form.N, form.k, form.degree) == (2, 1, d)
+    group = group_closure(preserving_candidates(form), form)
+    assert group.order >= 2
+    assert verify_bound(group.order, d, 1, 2)
+    if d == 2:
+        # K_F = O(d - 1) and K_X = O(-3): K_F^2 = 1 and K_F.K_X = -3.  For
+        # larger d the exact bound has more digits than the report cap allows.
+        assert group.order <= foliation_aut_bound(1, -3).final_bound
