@@ -1,10 +1,12 @@
 """Twisted k-symmetric 1-forms on projective space, in homogeneous coordinates.
 
-A form is stored by its coefficient family: a map from differential
+A form is given by its coefficient family: a map from differential
 multi-indices I = (i_0, ..., i_N) with |I| = k to homogeneous polynomial
 coefficients in the N+1 homogeneous coordinates,
 
-    omega = sum_I  A_I(x) dx_0^{i_0} ... dx_N^{i_N}.
+    omega = sum_I  A_I(x) dx_0^{i_0} ... dx_N^{i_N},
+
+and stored as its symbol W(x, y) = sum_I A_I(x) y^I, one polynomial.
 
 ``SymTensor`` is the raw container (any coefficient family, used for
 intermediate results such as Lie derivatives, which may legitimately be zero
@@ -35,7 +37,7 @@ from .errors import (
     SingularPointError,
     ValidationError,
 )
-from .poly import _ONE, Polynomial, Scalar, _make, _primitive, poly_gcd_many
+from .poly import _ONE, Polynomial, Scalar, _make, _negated, _primitive, poly_gcd_many
 
 MultiIndex = tuple[int, ...]
 
@@ -63,11 +65,13 @@ class SymTensor:
     ``ndiff`` counts the differentials dx_0 ... dx_{ndiff-1}; coefficients may
     live in any consistent polynomial ring (usually the same ndiff variables,
     but the matrix-variable expansions in :mod:`webfol.projective` use a
-    different one).  Treat instances as immutable: every operation returns a
-    new tensor and nothing here mutates state after construction.
+    different one).  The symbol ``_w`` = sum_I A_I(x) y^I is the storage and
+    every operation works on it; ``coeffs`` is split from it on first read.
+    Treat instances as immutable: every operation returns a new tensor and
+    nothing here mutates state after construction.
     """
 
-    __slots__ = ("ndiff", "k", "coeffs")
+    __slots__ = ("ndiff", "k", "_w", "_coeffs")
 
     def __init__(self, ndiff: int, k: int, coeffs: Mapping[MultiIndex, Polynomial]):
         if ndiff < 1 or k < 0:
@@ -86,16 +90,27 @@ class SymTensor:
                 clean[dmono] = poly
         self.ndiff = ndiff
         self.k = k
-        self.coeffs = clean
+        self._w = _symbol(ndiff, clean)
+        self._coeffs = clean
+
+    @property
+    def coeffs(self) -> dict[MultiIndex, Polynomial]:
+        """The coefficients A_I by multi-index I: the symbol's terms grouped by y-exponent."""
+        if self._coeffs is None:
+            w = self._w
+            m = w.nvars - self.ndiff
+            groups: dict[MultiIndex, dict[tuple[int, ...], int]] = {}
+            for e, v in w._terms.items():
+                groups.setdefault(e[m:], {})[e[:m]] = v
+            self._coeffs = {I: _primitive(m, terms, w._c) for I, terms in groups.items()}
+        return self._coeffs
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._w._terms
 
     def coeff_nvars(self) -> int:
-        for poly in self.coeffs.values():
-            return poly.nvars
-        return self.ndiff
+        return self._w.nvars - self.ndiff
 
     def coefficient(self, dmono: MultiIndex) -> Polynomial:
         return self.coeffs.get(tuple(dmono), Polynomial.zero(self.coeff_nvars()))
@@ -103,62 +118,54 @@ class SymTensor:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymTensor):
             return NotImplemented
-        return (
-            self.ndiff == other.ndiff
-            and self.k == other.k
-            and self.coeffs == other.coeffs
-        )
+        return self.ndiff == other.ndiff and self.k == other.k and self._w == other._w
 
     def __hash__(self):
-        return hash((self.ndiff, self.k, frozenset(self.coeffs.items())))
+        return hash((self.ndiff, self.k, self._w))
 
     def __add__(self, other: "SymTensor") -> "SymTensor":
         if self.ndiff != other.ndiff or self.k != other.k:
             raise InputError("tensor shape mismatch in addition")
-        if self.coeffs and other.coeffs and self.coeff_nvars() != other.coeff_nvars():
+        if self.is_zero or other.is_zero:
+            return _from_symbol(self.ndiff, self.k, (other if self.is_zero else self)._w)
+        if self.coeff_nvars() != other.coeff_nvars():
             raise InputError("coefficient polynomials disagree on variable count")
-        out = dict(self.coeffs)
-        for dmono, poly in other.coeffs.items():
-            if dmono in out:
-                poly = out[dmono] + poly
-                if not poly:
-                    del out[dmono]
-                    continue
-            out[dmono] = poly
-        return _tensor(self.ndiff, self.k, out)
+        return _from_symbol(self.ndiff, self.k, self._w + other._w)
 
     def __sub__(self, other: "SymTensor") -> "SymTensor":
         return self + other.scale(-1)
 
     def scale(self, factor: Union[Polynomial, Scalar]) -> "SymTensor":
-        # Q[x] is a domain: a nonzero factor leaves every coefficient nonzero.
-        scaled = {d: p * factor for d, p in self.coeffs.items()}
-        return _tensor(self.ndiff, self.k, scaled if factor else {})
+        if self.is_zero:
+            return _from_symbol(self.ndiff, self.k, self._w)
+        m = self.coeff_nvars()
+        if isinstance(factor, Polynomial) and factor.nvars != m:
+            raise InputError(f"variable-count mismatch: {m} vs {factor.nvars}")
+        return _from_symbol(self.ndiff, self.k, self._w * _lift(factor, self._w.nvars))
 
     def sym_mul(self, other: "SymTensor") -> "SymTensor":
         """Symmetric product: the product of the symbols."""
         if self.ndiff != other.ndiff:
             raise InputError("tensor shape mismatch in symmetric product")
         k = self.k + other.k
-        if not self.coeffs or not other.coeffs:
-            return _tensor(self.ndiff, k, {})
+        if self.is_zero or other.is_zero:
+            return _from_symbol(self.ndiff, k, (self if self.is_zero else other)._w)
         if self.coeff_nvars() != other.coeff_nvars():
             raise InputError(
                 f"variable-count mismatch: {self.coeff_nvars()} vs {other.coeff_nvars()}"
             )
-        return _split(_symbol(self) * _symbol(other), self.ndiff, k)
+        return _from_symbol(self.ndiff, k, self._w * other._w)
 
     def euler_contraction(self) -> "SymTensor":
         """Contract against the radial field: sum_j x_j dW/dy_j on the symbol W."""
         if self.k == 0:
             raise InputError("cannot contract a 0-tensor")
         m, n = self.coeff_nvars(), self.ndiff
-        symbol = _symbol(self)
-        slots = [symbol.partial(m + j) for j in range(n)]
+        slots = [self._w.partial(m + j) for j in range(n)]
         for j in range(m, n):
             if slots[j]:
                 raise InputError(f"variable index {j} out of range for nvars={m}")
-        return _split(_dot(Polynomial.variables(m + n)[:n], slots, m + n), n, self.k - 1)
+        return _from_symbol(n, self.k - 1, _dot(Polynomial.variables(m + n)[:n], slots, m + n))
 
     def to_json_dict(self) -> dict:
         return {
@@ -187,20 +194,6 @@ class SymTensor:
         return f"SymTensor(ndiff={self.ndiff}, k={self.k}, {self.render()})"
 
 
-def _tensor(ndiff: int, k: int, coeffs: dict[MultiIndex, Polynomial]) -> SymTensor:
-    """A tensor from results of tensor operations, unchecked.
-
-    The counterpart of ``poly._make``: callers guarantee multi-indices of
-    length ``ndiff`` summing to ``k``, nonzero coefficients, and one
-    variable count among them.
-    """
-    t = object.__new__(SymTensor)
-    t.ndiff = ndiff
-    t.k = k
-    t.coeffs = coeffs
-    return t
-
-
 # -- the symbol of a tensor ------------------------------------------------------
 #
 # Sym^k of the differentials is the space of degree-k polynomials in fibre
@@ -208,33 +201,35 @@ def _tensor(ndiff: int, k: int, coeffs: dict[MultiIndex, Polynomial]) -> SymTens
 # W = sum_I A_I y^I with the y last; the tensor operations are ring operations on W.
 
 
-def _symbol(t: SymTensor) -> Polynomial:
-    """The symbol of a tensor, its coefficients brought over one denominator."""
-    m = t.coeff_nvars()
-    if not t.coeffs:
-        return _make(m + t.ndiff, {}, _ONE)
+def _from_symbol(ndiff: int, k: int, w: Polynomial) -> SymTensor:
+    """A tensor from its symbol, unchecked: each term has degree k in the last ndiff.
+
+    A zero symbol is kept in 2 * ndiff variables, so its coefficient ring is ndiff.
+    """
+    t = object.__new__(SymTensor)
+    t.ndiff = ndiff
+    t.k = k
+    t._w = w if w._terms else _make(2 * ndiff, {}, _ONE)
+    t._coeffs = None
+    return t
+
+
+def _symbol(ndiff: int, coeffs: dict[MultiIndex, Polynomial]) -> Polynomial:
+    """The symbol of a coefficient map, its coefficients brought over one denominator."""
+    if not coeffs:
+        return _make(2 * ndiff, {}, _ONE)
+    m = next(iter(coeffs.values())).nvars
     # Each coefficient is c_I * P_I with P_I primitive; c_I = g * w_I / den with
     # coprime ints w_I makes sum_I w_I * P_I * y^I primitive.
-    den = math.lcm(*(A._c.denominator for A in t.coeffs.values()))
-    nums = {I: A._c.numerator * (den // A._c.denominator) for I, A in t.coeffs.items()}
+    den = math.lcm(*(A._c.denominator for A in coeffs.values()))
+    nums = {I: A._c.numerator * (den // A._c.denominator) for I, A in coeffs.items()}
     g = math.gcd(*nums.values())
     terms = {}
-    for I, A in t.coeffs.items():
+    for I, A in coeffs.items():
         w = nums[I] // g
         for e, v in A._terms.items():
             terms[e + I] = w * v
-    return _make(m + t.ndiff, terms, Fraction(g, den))
-
-
-def _split(symbol: Polynomial, ndiff: int, k: int) -> SymTensor:
-    """The k-tensor whose symbol is given; its last ndiff variables are the y."""
-    m = symbol.nvars - ndiff
-    groups: dict[MultiIndex, dict[tuple[int, ...], int]] = {}
-    for e, v in symbol._terms.items():
-        groups.setdefault(e[m:], {})[e[:m]] = v
-    return _tensor(
-        ndiff, k, {I: _primitive(m, terms, symbol._c) for I, terms in groups.items()}
-    )
+    return _make(m + ndiff, terms, Fraction(g, den))
 
 
 def _lift(value: Union[Polynomial, Scalar], nvars: int) -> Union[Polynomial, Scalar]:
@@ -261,13 +256,15 @@ def _pull(form: SymTensor, rows, xs, nvars: int) -> SymTensor:
     coefficients and dx_i -> sum_m rows[i][m] * dy_m in the slots, one
     composition of the symbol; the result has r differentials dy_0 .. dy_{r-1}.
     """
+    if len(rows) != form.ndiff:
+        raise InputError(f"matrix size {len(rows)} does not match the form ({form.ndiff})")
     total = nvars + len(xs)
     rows = [[_lift(v, total) for v in row] for row in rows]
     xs = [_lift(v, total) for v in xs]
     ys = [Polynomial.variable(total, nvars + m) for m in range(len(xs))]
     dx = [_dot(row, ys, total) for row in rows]
-    pulled = _symbol(form).compose([_dot(row, xs, total) for row in rows] + dx)
-    return _split(pulled, len(xs), form.k)
+    pulled = form._w.compose([_dot(row, xs, total) for row in rows] + dx)
+    return _from_symbol(len(xs), form.k, pulled)
 
 
 class SymForm(SymTensor):
@@ -337,9 +334,7 @@ class SymForm(SymTensor):
 
     @property
     def coefficient_degree(self) -> int:
-        for poly in self.coeffs.values():
-            return poly.homogeneous_degree()
-        raise AssertionError("validated form cannot be empty")
+        return self._w.degree() - self.k
 
     @property
     def degree(self) -> int:
@@ -366,7 +361,7 @@ class SymForm(SymTensor):
                 )
                 for entry in data["coeffs"]
             }
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed form JSON: {exc}") from exc
         return cls(N, k, coeffs)
 
@@ -454,34 +449,34 @@ def lie_derivative(field: Sequence[Polynomial], form: SymTensor) -> SymTensor:
     if any(v.nvars != n for v in field):
         raise InputError("vector field components must use the ambient variables")
     _field_degree(field)
-    if form.coeffs and form.coeff_nvars() != n:
+    if not form.is_zero and form.coeff_nvars() != n:
         raise InputError(f"variable-count mismatch: {n} vs {form.coeff_nvars()}")
     total = 2 * n
-    symbol = _symbol(form)
     ys = [Polynomial.variable(total, n + m) for m in range(n)]
     velocity = [_lift(v, total) for v in field] + [
         _dot([_lift(v.partial(m), total) for m in range(n)], ys, total) for v in field
     ]
-    gradient = [symbol.partial(i) for i in range(total)]
-    return _split(_dot(velocity, gradient, total), n, form.k)
+    gradient = [form._w.partial(i) for i in range(total)]
+    return _from_symbol(n, form.k, _dot(velocity, gradient, total))
 
 
 def proportionality_constant(reference: SymTensor, candidate: SymTensor) -> Optional[Fraction]:
     """The constant c with candidate = c * reference, or None.
 
-    Decided exactly: the leading coefficient of the reference's largest
-    differential multi-index fixes c, and every coefficient must then match.
+    Decided on the symbols: a polynomial is a positive content times a unique
+    primitive part, so W' = c * W for a nonzero c exactly when the primitive
+    parts agree up to sign, and then c is that sign times the content ratio.
     """
     if candidate.is_zero:
         return Fraction(0)
-    if reference.is_zero:
+    if reference.is_zero or reference.ndiff != candidate.ndiff:
         return None
-    anchor = max(reference.coeffs)
-    exp, lc = reference.coeffs[anchor].leading_term()
-    c = candidate.coefficient(anchor).coefficient(exp) / lc
-    if not c or candidate.coeffs != {I: A * c for I, A in reference.coeffs.items()}:
-        return None
-    return c
+    w, v = reference._w, candidate._w
+    if v._terms == w._terms:
+        return v._c / w._c
+    if v._terms == _negated(w._terms):
+        return -v._c / w._c
+    return None
 
 
 def flow_preserves(field: Sequence[Polynomial], form: SymForm) -> bool:
@@ -547,7 +542,7 @@ def restrict_to_line(
     if _rank2(p, q) < 2:
         raise InputError("the two points do not span a line")
     # The pullback's symbol lives in Q[s, t, u, v] with u = ds and v = dt.
-    pulled = _symbol(_pull(form, list(zip(p, q)), Polynomial.variables(2), 2))
+    pulled = _pull(form, list(zip(p, q)), Polynomial.variables(2), 2)._w
     if pulled.is_zero:
         raise NonGenericLineError("the form pulls back to zero on this line")
     s, t, u, v = Polynomial.variables(4)

@@ -401,7 +401,7 @@ class Polynomial:
                 tuple(int(e) for e in t["exp"]): Fraction(int(t["num"]), int(t["den"]))
                 for t in data["terms"]
             }
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise InputError(f"malformed polynomial JSON: {exc}") from exc
         return cls(nvars, terms)
 

@@ -226,8 +226,6 @@ def _determinant(matrix: list[list[int]]) -> int:
 def pullback_tensor(transform: ProjMap, form: SymTensor) -> SymTensor:
     """Raw pullback: substitute x -> T x in coefficients and dx -> T dx in slots."""
     n = form.ndiff
-    if transform.size != n:
-        raise InputError(f"matrix size {transform.size} does not match the form ({n})")
     return _pull(form, transform.entries, Polynomial.variables(n), n)
 
 
@@ -237,8 +235,14 @@ def pullback(transform: ProjMap, form: SymForm) -> SymForm:
 
 
 def preserves(transform: ProjMap, form: SymForm) -> bool:
-    """Whether the pullback defines the same web (is a constant multiple of it)."""
-    return proportionality_constant(form, pullback_tensor(transform, form)) is not None
+    """Whether the pullback defines the same web (is a constant multiple of it).
+
+    A rescaled matrix rescales the pullback, so the integer matrix ``_m``
+    decides it as well as ``entries`` does.
+    """
+    n = form.ndiff
+    pulled = _pull(form, transform._m, Polynomial.variables(n), n)
+    return proportionality_constant(form, pulled) is not None
 
 
 # -- the polynomial system cutting out the symmetry group ---------------------------
@@ -292,7 +296,7 @@ class BezoutSystem:
                 declared_degree=int(data["declared_degree"]),
                 coefficient_degree=int(data["coefficient_degree"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed system JSON: {exc}") from exc
 
 

@@ -153,6 +153,15 @@ def random_projmap(rng: random.Random, n: int) -> ProjMap:
             continue
 
 
+def random_rational_projmap(rng: random.Random, n: int) -> ProjMap:
+    while True:
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+        try:
+            return ProjMap(rows)
+        except ValidationError:
+            continue
+
+
 def normalise_tensor(tensor: SymTensor) -> SymTensor:
     """Scale so the leading coefficient of the leading slot is 1 (for PGL comparisons)."""
     if tensor.is_zero:
@@ -402,13 +411,42 @@ def pullback_identity_holds(form: SymTensor, transform: ProjMap, pulled: SymTens
 
 
 def tensor_invariants_hold(tensor: SymTensor) -> bool:
-    """Valid multi-indices, no zero coefficient, one ring, and the kernel invariants."""
-    nvars = {p.nvars for p in tensor.coeffs.values()}
-    return len(nvars) <= 1 and all(
-        len(I) == tensor.ndiff and min(I) >= 0 and sum(I) == tensor.k
+    """The stored symbol and the coefficient view split from it.
+
+    The symbol keeps the kernel invariants, every term has degree k in the
+    last ndiff variables, and a zero symbol lies in 2 * ndiff variables.  The
+    view has valid multi-indices, no zero coefficient, one ring, the kernel
+    invariants, and builds the same symbol again.
+    """
+    W, n = tensor._w, tensor.ndiff
+    m = W.nvars - n
+    if not kernel_invariants_hold(W) or not (W._terms or m == n):
+        return False
+    if any(sum(e[m:]) != tensor.k for e in W._terms):
+        return False
+    return {p.nvars for p in tensor.coeffs.values()} <= {m} and all(
+        len(I) == n and min(I) >= 0 and sum(I) == tensor.k
         and not A.is_zero and kernel_invariants_hold(A)
         for I, A in tensor.coeffs.items()
-    )
+    ) and SymTensor(n, tensor.k, tensor.coeffs) == tensor
+
+
+def ref_proportionality_constant(reference: SymTensor, candidate: SymTensor):
+    """The constant c with candidate = c * reference, or None.
+
+    Decided exactly: the leading coefficient of the reference's largest
+    differential multi-index fixes c, and every coefficient must then match.
+    """
+    if candidate.is_zero:
+        return Fraction(0)
+    if reference.is_zero:
+        return None
+    anchor = max(reference.coeffs)
+    exp, lc = reference.coeffs[anchor].leading_term()
+    c = candidate.coefficient(anchor).coefficient(exp) / lc
+    if not c or candidate.coeffs != {I: A * c for I, A in reference.coeffs.items()}:
+        return None
+    return c
 
 
 # -- the tensor operations as expansions over differential multi-indices ---------

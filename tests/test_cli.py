@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
 
@@ -408,6 +410,36 @@ def test_preserves_map_file_that_is_not_a_list_exits_two(tmp_path):
     r = run_cli("preserves", "--form", fx("example.json"), "--map", str(bad))
     assert r.returncode == 2, r.stderr
     assert json.loads(r.stdout)["error"] == "input_error"
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"N": 2', '"N": 1e400'),
+        ('"k": 1', '"k": 1e400'),
+        ('"exp": [0, 1, 0]', '"exp": [0, 1e400, 0]'),
+        ('"num": "-1"', '"num": 1e400'),
+        ('"den": "1"', '"den": 1e400'),
+    ],
+)
+def test_overflowing_json_number_in_a_form_exits_two(tmp_path, old, new):
+    # The JSON reader turns 1e400 into float infinity, which int() refuses.
+    text = json.dumps(json.loads((FIXTURES / "radial.json").read_text()))
+    assert old in text
+    path = tmp_path / "huge.json"
+    path.write_text(text.replace(old, new, 1))
+    r = run_cli("validate", "--form", str(path))
+    assert r.returncode == 2, r.stderr
+    assert json.loads(r.stdout)["error"] == "input_error"
+    assert "Traceback" not in r.stderr
+
+
+def test_overflowing_json_number_in_an_inline_field_exits_two():
+    field = json.dumps([{"nvars": 3, "terms": []}] * 3).replace("3", "1e400", 1)
+    r = run_cli("lie", "--form", fx("radial.json"), "--field", field)
+    assert r.returncode == 2, r.stderr
+    assert json.loads(r.stdout)["error"] == "input_error"
+    assert "Traceback" not in r.stderr
 
 
 def test_values_with_a_leading_minus_sign_need_no_equals_sign():

@@ -37,6 +37,7 @@ from helpers import (
     radial_form,
     scaled_copy,
     shipped_forms,
+    to_sympy,
 )
 
 X, Y, Z = Polynomial.variables(3)
@@ -146,6 +147,47 @@ def test_euler_contraction_raw_x_dx():
 def test_integrability_forced_on_the_plane():
     for form in (example_form(), radial_form(), conic_pencil_form()):
         assert is_integrable(form)
+
+
+def _sympy_wedge(a, b):
+    """Product of forms given as {increasing index tuple: sympy coefficient}."""
+    out = {}
+    for I, f in a.items():
+        for J, g in b.items():
+            joined = I + J
+            if len(set(joined)) < len(joined):
+                continue
+            inversions = sum(x > y for i, x in enumerate(joined) for y in joined[i + 1 :])
+            key = tuple(sorted(joined))
+            out[key] = out.get(key, 0) + (-1) ** inversions * f * g
+    return out
+
+
+def _sympy_exterior_derivative(a, xs):
+    import sympy
+
+    out = {}
+    for j, x in enumerate(xs):
+        partials = {I: sympy.diff(f, x) for I, f in a.items()}
+        for key, value in _sympy_wedge({(j,): 1}, partials).items():
+            out[key] = out.get(key, 0) + value
+    return out
+
+
+def test_integrability_agrees_with_sympy_on_every_one_form_fixture():
+    sympy = pytest.importorskip("sympy")
+    verdicts = {}
+    for name, form in shipped_forms().items():
+        if form.k != 1:
+            continue
+        xs = sympy.symbols(f"x0:{form.ndiff}")
+        omega = {(I.index(1),): to_sympy(A, xs) for I, A in form.coeffs.items()}
+        three_form = _sympy_wedge(omega, _sympy_exterior_derivative(omega, xs))
+        vanishes = all(sympy.expand(c) == 0 for c in three_form.values())
+        assert is_integrable(form) == vanishes, name
+        verdicts[name] = vanishes
+    assert verdicts["contact_p3.json"] is False
+    assert verdicts["pencil_p3.json"] is True
 
 
 def test_contact_form_is_not_integrable():

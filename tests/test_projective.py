@@ -38,6 +38,7 @@ from webfol.projective import (
 )
 
 from helpers import (
+    FIXTURES,
     conic_pencil_form,
     example_form,
     fix_leading_variables,
@@ -46,6 +47,7 @@ from helpers import (
     pullback_identity_holds,
     radial_form,
     random_projmap,
+    random_rational_projmap,
     ref_determinant,
     ref_inverse,
     ref_map_text,
@@ -149,6 +151,13 @@ def test_preserves_identity_and_swap():
     assert preserves(ProjMap.swap(3, 0, 1), conic)
 
 
+def test_a_map_of_another_size_is_refused():
+    cycle = ProjMap.permutation([1, 2, 3, 0])
+    for operation in (preserves, pullback_tensor, pullback):
+        with pytest.raises(InputError, match=r"matrix size 4 does not match the form \(3\)"):
+            operation(cycle, example_form())
+
+
 def test_swap_does_not_preserve_example():
     assert not preserves(ProjMap.swap(3, 0, 1), example_form())
 
@@ -163,10 +172,22 @@ def test_preserving_maps_compose_and_invert():
 
 
 def test_preserves_agrees_with_the_minors_reference_on_every_fixture():
+    # preserves pulls back along the integer matrix, pullback_tensor along entries.
+    dilation = ProjMap.from_json_list(json.loads((FIXTURES / "dilation_map.json").read_text()))
+    rng = random.Random(11)
     verdicts = set()
     for name, form in shipped_forms().items():
         n = form.ndiff
-        candidates = signed_permutations(n) + [ProjMap.diagonal(range(1, n + 1))]
+        # Upper triangular, row i divisible by i + 2; and 6 times a permutation.
+        factored = [[(i + 2) * (j in (i, i + 1)) for j in range(n)] for i in range(n)]
+        candidates = signed_permutations(n) + [
+            ProjMap.diagonal(range(1, n + 1)),
+            ProjMap(factored),
+            ProjMap([[6 * (j == (i + 1) % n) for j in range(n)] for i in range(n)]),
+        ]
+        candidates += [random_rational_projmap(rng, n) for _ in range(4)]
+        if n == dilation.size:
+            candidates.append(dilation)
         for m in candidates:
             expected = minors_vanish(form, pullback_tensor(m, form))
             assert preserves(m, form) == expected, (name, m)
@@ -266,6 +287,16 @@ def test_export_round_trip_is_byte_identical():
     blob = export_system(system, "json")
     again = parse_system(blob)
     assert export_system(again, "json") == blob
+
+
+def test_parse_system_refuses_an_overflowing_number():
+    # The JSON reader turns 1e400 into float infinity, which int() refuses.
+    blob = export_system(invariance_system(radial_form(), [[1, 1, 1]]), "json")
+    for field in ('"nvars": 9', '"declared_degree": 2'):
+        assert field in blob
+        huge = blob.replace(field, field.split(":")[0] + ": 1e400", 1)
+        with pytest.raises(InputError, match="malformed system JSON"):
+            parse_system(huge)
 
 
 def test_export_text_format():

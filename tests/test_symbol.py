@@ -29,6 +29,7 @@ from helpers import (
     build_corpus,
     ref_euler_contraction,
     ref_lie_derivative,
+    ref_proportionality_constant,
     ref_pull,
     ref_restrict_to_line,
     ref_sym_mul,
@@ -167,6 +168,64 @@ def test_pull_matches_the_multi_index_expansion(form, entries, point):
     both = Polynomial.variables(n + n * n)
     rows = [both[n + i * n : n + (i + 1) * n] for i in range(n)]
     _same(forms._pull(form, rows, both[:n], n + n * n), ref_pull(form, rows, both[:n], n + n * n))
+
+
+@st.composite
+def proportionality_cases(draw):
+    """A reference tensor and a candidate: multiples, negations, zeros, strangers."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    nvars = draw(st.sampled_from([n, n * n]))
+    k = draw(st.integers(min_value=0, max_value=3))
+    reference = draw(tensors(n, k, nvars))
+    kind = draw(st.sampled_from(
+        ["multiple", "negated", "zero", "polynomial", "stranger", "ring", "degree"]
+    ))
+    if kind == "multiple":
+        candidate = reference.scale(draw(small_fractions))
+    elif kind == "negated":
+        candidate = reference.scale(-1)
+    elif kind == "zero":
+        candidate = SymTensor(n, k, {})
+    elif kind == "polynomial":
+        candidate = reference.scale(draw(sparse_polynomials(nvars, 1)))
+    elif kind == "stranger":
+        candidate = draw(tensors(n, k, nvars))
+    elif kind == "ring":
+        candidate = draw(tensors(n, k, n + n * n - nvars))
+    else:
+        candidate = draw(tensors(n, k + 1, nvars))
+    return reference, candidate
+
+
+@settings(max_examples=300, deadline=None)
+@given(proportionality_cases())
+def test_proportionality_on_the_symbol_matches_the_anchor_reference(case):
+    reference, candidate = case
+    for a, b in ((reference, candidate), (candidate, reference), (reference, reference)):
+        c = forms.proportionality_constant(a, b)
+        assert c == ref_proportionality_constant(a, b)
+        assert c is None or type(c) is Fraction
+        if c:
+            assert a.scale(c) == b
+
+
+def test_proportionality_constant_of_rational_and_negated_multiples():
+    x, y, z = Polynomial.variables(3)
+    reference = SymTensor(3, 1, {(1, 0, 0): x * Fraction(2, 3), (0, 1, 0): y * Fraction(-1, 5)})
+    for c in (Fraction(7, 4), Fraction(-7, 4), Fraction(-1), Fraction(1, 30)):
+        assert forms.proportionality_constant(reference, reference.scale(c)) == c
+    assert forms.proportionality_constant(reference, reference.scale(x)) is None
+    assert forms.proportionality_constant(reference, SymTensor(3, 1, {})) == 0
+    assert forms.proportionality_constant(SymTensor(3, 1, {}), reference) is None
+    # A sign flip in one coefficient is neither the multiple nor its negation.
+    flipped = SymTensor(3, 1, {(1, 0, 0): x * Fraction(2, 3), (0, 1, 0): y * Fraction(1, 5)})
+    assert forms.proportionality_constant(reference, flipped) is None
+    # Equal terms on a different split of the same ring size are not multiples.
+    u, _ = Polynomial.variables(2)
+    wide = SymTensor(2, 1, {(0, 1): u})
+    other = SymTensor(1, 1, {(1,): Polynomial.variable(3, 0)})
+    assert wide._w._terms == other._w._terms
+    assert forms.proportionality_constant(wide, other) is None
 
 
 def test_cancelling_products_and_contractions_drop_their_coefficients():
