@@ -93,6 +93,14 @@ def _parse_fraction(text: str) -> Fraction:
         raise InputError(f"bad rational number {text!r}") from exc
 
 
+def _parse_int(text: str) -> int:
+    """Integer option value; with ``type=int`` argparse would print usage text instead."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise InputError(f"bad integer {text!r}") from exc
+
+
 def _parse_point(text: str, n: int) -> tuple[Fraction, ...]:
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != n:
@@ -457,37 +465,37 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("squarefree", _cmd_squarefree, "pointwise square-freeness of the web form")
     p.add_argument("--form", required=True)
     p.add_argument("--points", help="semicolon-separated points; default schedule")
-    p.add_argument("--count", type=int, default=3, help="schedule points to use")
+    p.add_argument("--count", type=_parse_int, default=3, help="schedule points to use")
 
     p = add("hij", _cmd_hij, "polynomial system in matrix entries cutting the symmetries")
     p.add_argument("--form", required=True)
     p.add_argument("--points", help="semicolon-separated sample points")
-    p.add_argument("--count", type=int, default=3, help="schedule points to use")
+    p.add_argument("--count", type=_parse_int, default=3, help="schedule points to use")
     p.add_argument("--format", choices=["json", "text"], default="json")
 
     p = add("closure", _cmd_closure, "finite closure of verified generators")
     p.add_argument("--form", required=True)
     p.add_argument("--map", action="append", required=True, help="generator file (repeatable)")
-    p.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP)
+    p.add_argument("--cap", type=_parse_int, default=DEFAULT_CLOSURE_CAP)
 
     p = add("blowup", _cmd_blowup, "single blow-up of a plane foliation at the origin")
     p.add_argument("--local", required=True)
 
     p = add("ktransform", _cmd_ktransform, "intersection numbers across one blow-up")
-    p.add_argument("--kf2", type=int, required=True)
-    p.add_argument("--kfkx", type=int, required=True)
-    p.add_argument("--l", type=int, required=True, help="vanishing order along E")
+    p.add_argument("--kf2", type=_parse_int, required=True)
+    p.add_argument("--kfkx", type=_parse_int, required=True)
+    p.add_argument("--l", type=_parse_int, required=True, help="vanishing order along E")
 
     p = add("reduced", _cmd_reduced, "reduced-singularity test on a linear part")
     p.add_argument("--matrix", help="2x2 matrix 'a,b;c,d'")
     p.add_argument("--local", help="local foliation file (uses its linear part)")
 
     p = add("bounds", _cmd_bounds, "exact order bounds")
-    p.add_argument("--kf2", type=int, action="append")
-    p.add_argument("--kfkx", type=int, action="append")
-    p.add_argument("--d", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
+    p.add_argument("--kf2", type=_parse_int, action="append")
+    p.add_argument("--kfkx", type=_parse_int, action="append")
+    p.add_argument("--d", type=_parse_int)
+    p.add_argument("--k", type=_parse_int)
+    p.add_argument("--n", type=_parse_int)
     p.add_argument("--full-digits", action="store_true", dest="full_digits")
 
     p = add("duality", _cmd_duality, "characteristic numbers of the dual pair")
@@ -515,11 +523,14 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_attach_signed_values(argv))
+    args = None
     try:
+        args = parser.parse_args(_attach_signed_values(argv))
         code, document = args.handler(args)
     except (InputError, ComputationError) as exc:
-        _emit({"error": exc.code, "message": str(exc)}, args.table)
+        # A bad integer option fails inside parse_args, before ``args`` exists.
+        table = args.table if args is not None else "--table" in argv
+        _emit({"error": exc.code, "message": str(exc)}, table)
         return exc.exit_code
     if isinstance(document, str):
         sys.stdout.write(document)

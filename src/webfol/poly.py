@@ -521,9 +521,15 @@ def _combine(p: Polynomial, q: Polynomial, sign: int) -> Polynomial:
 #
 # Multivariate GCD over Q by recursion on the number of variables: split off
 # the content with respect to the last variable, reduce the primitive parts by
-# a primitive pseudo-remainder sequence, and recurse for the contents.  Exact
-# and entirely adequate at the scale this package targets (few variables,
-# modest degrees).
+# a primitive pseudo-remainder sequence, and recurse for the contents.  The
+# sequence is exponential in the degree, so coprime inputs, the common case,
+# skip it: ``_coprime_mod_p`` certifies a constant GCD from one univariate
+# image per variable modulo a prime (the image argument behind Brown's modular
+# GCD, 1971) and leaves every other input to the exact path, so each answer is
+# the exact one.
+
+# The prime of every modular computation in the package, 2^61 - 1.
+_PRIME = 2305843009213693951
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -538,6 +544,8 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         return q.monic()
     if q.is_zero:
         return p.monic()
+    if _coprime_mod_p([p, q]):
+        return _constant(p.nvars, 1)
     return _gcd_nonzero(p, q).monic()
 
 
@@ -549,8 +557,8 @@ def poly_gcd_many(polys: Iterable[Polynomial]) -> Polynomial:
     nonzero = [p for p in family if not p.is_zero]
     if not nonzero:
         return family[0]
-    if len(nonzero) >= 2 and _certified_coprime_homogeneous(nonzero):
-        return Polynomial.constant(family[0].nvars, 1)
+    if len(nonzero) >= 2 and _coprime_mod_p(nonzero):
+        return _constant(family[0].nvars, 1)
     nonzero.sort(key=lambda p: (p.degree(), len(p._terms)))
     result = nonzero[0]
     for p in nonzero[1:]:
@@ -560,43 +568,54 @@ def poly_gcd_many(polys: Iterable[Polynomial]) -> Polynomial:
     return result.monic()
 
 
-# Deterministic direction pairs for the homogeneous coprimality certificate.
-_CERT_LINES = (
-    ((1, 2, 3, 5, 7, 11, 13, 17), (1, -1, 2, -3, 5, -7, 11, -13)),
-    ((2, 3, 5, 7, 11, 13, 17, 19), (3, 1, -2, 5, -1, 2, -5, 7)),
-)
+def _coprime_mod_p(polys: list[Polynomial]) -> bool:
+    """Sound fast path: True certifies that nonzero polynomials have constant GCD.
 
-
-def _certified_coprime_homogeneous(polys: list[Polynomial]) -> bool:
-    """Sound fast path: certify that a homogeneous family has constant GCD.
-
-    Restrict every polynomial to a fixed projective line x_i = a_i t + b_i u.
-    A common homogeneous factor of positive degree restricts to a binary form
-    that is either identically zero or of positive degree, never a nonzero
-    constant; so if the restricted family has constant GCD and is not
-    identically zero, the original GCD is constant.  Inconclusive lines just
-    fall through to the full computation.
+    For each variable x_i of positive degree in every member, the others are
+    fixed at x_j = j + 2 and the primitive int parts are reduced modulo the
+    prime.  The primitive GCD g divides every member, so lc_i(g) divides
+    each member's leading coefficient in x_i: an image that keeps some
+    member's x_i-degree keeps g's, and then a degree-0 GCD of the images in
+    F_p[x_i] forces deg_i g = 0.  A variable of degree 0 in some member has
+    degree 0 in g already.  Any other outcome is inconclusive (False).
     """
-    n = polys[0].nvars
-    if n < 3 or n > 8:
-        return False
-    if any(not p.is_homogeneous() for p in polys):
-        return False
-    t, u = Polynomial.variables(2)
-    for avals, bvals in _CERT_LINES:
-        subs = [Fraction(avals[i]) * t + Fraction(bvals[i]) * u for i in range(n)]
-        images = [p.compose(subs) for p in polys]
-        images = [img for img in images if not img.is_zero]
-        if not images:
+    p = _PRIME
+    degrees = [list(map(max, zip(*f._terms))) for f in polys]
+    for i in range(polys[0].nvars):
+        if not min(d[i] for d in degrees):
             continue
-        gcd = images[0]
-        for img in images[1:]:
-            gcd = poly_gcd(gcd, img)
-            if gcd.degree() == 0:
-                return True
-        if gcd.degree() == 0:
-            return True
-    return False
+        gcd, kept = [], False
+        for f, d in zip(polys, degrees):
+            image = [0] * (d[i] + 1)
+            for exp, v in f._terms.items():
+                for j, e in enumerate(exp):
+                    if e and j != i:
+                        v *= pow(j + 2, e, p)
+                image[exp[i]] += v
+            image = [c % p for c in image]
+            kept = kept or image[-1] != 0
+            while image and not image[-1]:
+                image.pop()
+            gcd = _gcd_mod_p(image, gcd)
+        if not kept or len(gcd) != 1:
+            return False
+    return True
+
+
+def _gcd_mod_p(a: list[int], b: list[int]) -> list[int]:
+    """Euclid in F_p[x] on coefficient lists (constant term first, no trailing zeros)."""
+    p = _PRIME
+    while b:
+        inv = pow(b[-1], -1, p)
+        m = len(b) - 1
+        while len(a) > m:
+            q = a.pop() * inv % p
+            s = len(a) - m
+            a[s:] = [(x - q * y) % p for x, y in zip(a[s:], b)]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return a
 
 
 def _deg_last(p: Polynomial) -> int:

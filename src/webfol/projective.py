@@ -33,7 +33,7 @@ from .forms import (
     multi_indices,
     proportionality_constant,
 )
-from .poly import Polynomial, Scalar
+from .poly import _PRIME, Polynomial, Scalar
 
 DEFAULT_CLOSURE_CAP = 100_000
 
@@ -475,10 +475,6 @@ def group_closure(
     return FiniteGroup(elements=ordered, generators=tuple(gens))
 
 
-# The prime modulo which the infinite-order test computes.
-_ORDER_PRIME = 2**61 - 1
-
-
 def _totient(e: int) -> int:
     result, rest, p = e, e, 2
     while p * p <= rest:
@@ -512,7 +508,7 @@ def _certainly_infinite_order(g: ProjMap) -> bool:
     integer scalar matrix c*I, hence scalar modulo the prime too; so a power
     that is not scalar modulo the prime proves infinite order.
     """
-    p = _ORDER_PRIME
+    p = _PRIME
     n = g.size
     base = [[v % p for v in row] for row in g._m]
     power = _torsion_exponent(n)

@@ -467,6 +467,32 @@ def test_closure_of_an_infinite_order_generator_exits_three(capsys):
     assert "infinite order" in doc["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hij", "--form", "radial.json", "--count", "abc"),
+        ("closure", "--form", "radial.json", "--map", "swap_map.json", "--cap", "abc"),
+        ("bounds", "--kf2", "abc", "--kfkx", "0"),
+        ("bounds", "--kf2", "1", "--kfkx", "abc"),
+        ("ktransform", "--kf2", "1", "--kfkx", "0", "--l", "abc"),
+        ("bounds", "--d", "abc", "--k", "1", "--n", "2"),
+        ("bounds", "--d", "2", "--k", "abc", "--n", "2"),
+        ("bounds", "--d", "2", "--k", "1", "--n", "abc"),
+    ],
+    ids=lambda argv: argv[-2],
+)
+def test_a_non_integer_option_value_is_an_input_error(capsys, argv):
+    # argparse's own refusal printed usage text to stderr and nothing to stdout.
+    from webfol import cli
+
+    argv = [fx(a) if a.endswith(".json") else a for a in argv]
+    assert cli.main(argv) == 2
+    out = capsys.readouterr().out
+    assert json.loads(out) == {"error": "input_error", "message": "bad integer 'abc'"}
+    assert cli.main(["--table", *argv]) == 2
+    assert capsys.readouterr().out == "error: input_error\nmessage: bad integer 'abc'\n"
+
+
 def test_help_lists_all_commands():
     r = run_cli("--help")
     assert r.returncode == 0

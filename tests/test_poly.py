@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from webfol.errors import InputError
-from webfol.poly import Polynomial, poly_gcd, poly_gcd_many
+from webfol import poly
+from webfol.blowup import LocalFoliation
+from webfol.forms import SymForm
+from webfol.poly import Polynomial, _coprime_mod_p, _gcd_nonzero, poly_gcd, poly_gcd_many
 
 from helpers import (
     kernel_invariants_hold,
@@ -374,3 +377,103 @@ def test_gcd_agrees_with_sympy():
                 nvars, {tuple(e): Fraction(str(c)) for e, c in theirs.terms()}
             )
             assert ours == converted.monic()
+
+
+# -- the modular coprimality certificate -----------------------------------------
+
+
+@st.composite
+def planted_families(draw):
+    """Two or three nonzero members f*g_i sharing a factor f of positive degree."""
+    nvars = draw(st.integers(min_value=1, max_value=4))
+    f = draw(polynomials(nvars))
+    members = draw(st.lists(polynomials(nvars), min_size=2, max_size=3))
+    assume(f.degree() >= 1 and all(not g.is_zero for g in members))
+    return [f * g for g in members]
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_families())
+def test_certificate_never_passes_a_planted_common_factor(family):
+    assert not _coprime_mod_p(family)
+
+
+def _exact_gcd(family):
+    nonzero = [p for p in family if not p.is_zero]
+    if not nonzero:
+        return family[0]
+    result = nonzero[0].monic()
+    for p in nonzero[1:]:
+        result = _gcd_nonzero(result, p).monic()
+    return result
+
+
+# Three variables at most: on some planted 4-variable pairs of this size the
+# exact remainder sequence runs past a minute.
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda n: st.tuples(polynomials(n), st.lists(polynomials(n), min_size=1, max_size=3))
+    )
+)
+def test_gcd_agrees_with_the_exact_path(data):
+    # Each family plain and times a random factor, so the certificate both
+    # passes and falls through.
+    factor, members = data
+    for family in (members, [factor * m for m in members]):
+        assert poly_gcd_many(family) == _exact_gcd(family)
+        if len(family) >= 2:
+            assert poly_gcd(family[0], family[1]) == _exact_gcd(family[:2])
+
+
+def test_certificate_falls_through_when_a_leading_coefficient_vanishes():
+    # The x-coefficient y - 3 vanishes at the fixed value y = 3, so both
+    # images lose their x-degree and no image is kept.
+    x, y = Polynomial.variables(2)
+    p, q = (y - 3) * x + 1, (y - 3) * x + 2
+    assert not _coprime_mod_p([p, q])
+    assert poly_gcd(p, q) == 1
+    assert poly_gcd_many([p, q]) == 1
+
+
+def test_certificate_falls_through_when_coprime_images_coincide():
+    # At y = 3 both images in x are x - 9; in y they are 2 - y^2 and 2 - 3y.
+    x, y = Polynomial.variables(2)
+    p, q = x - y ** 2, x - 3 * y
+    assert not _coprime_mod_p([p, q])
+    assert poly_gcd(p, q) == 1
+    assert poly_gcd_many([p, q]) == 1
+
+
+def _germ(degree, a, b):
+    """Coprime dense germ sum ((a*i + b*s) mod 11 - 5) x^i y^(s-i), 1 <= s <= degree."""
+    return Polynomial(
+        2,
+        {
+            (i, s - i): (a * i + b * s) % 11 - 5
+            for s in range(1, degree + 1)
+            for i in range(s + 1)
+        },
+    )
+
+
+def test_coprime_inputs_never_reach_the_remainder_sequence(monkeypatch):
+    # Exact PRS took past 30 s on each of these; the certificate answers them.
+    calls = []
+    exact = poly._gcd_nonzero
+
+    def counted(p, q):
+        calls.append(p.nvars)
+        return exact(p, q)
+
+    monkeypatch.setattr(poly, "_gcd_nonzero", counted)
+    for degree in (20, 40):
+        LocalFoliation(_germ(degree, 3, 5), _germ(degree, 7, 2))
+    x, y, z = Polynomial.variables(3)
+    v, w = (x, y, z), (y ** 1200, z ** 1200, x ** 1200)
+    cross = [v[(i + 1) % 3] * w[(i + 2) % 3] - v[(i + 2) % 3] * w[(i + 1) % 3] for i in range(3)]
+    form = SymForm(2, 1, {(1, 0, 0): cross[0], (0, 1, 0): cross[1], (0, 0, 1): cross[2]})
+    assert form.degree == 1200
+    assert calls == []
+    poly_gcd(x * y, x * z)
+    assert calls
