@@ -31,7 +31,6 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import InputError, ValidationError
-from .forms import _fraction_str
 from .poly import Polynomial, Scalar, poly_gcd
 
 
@@ -185,7 +184,7 @@ class Reducedness:
         if self.reason is not None:
             doc["reason"] = self.reason
         if self.quotient is not None:
-            doc["quotient"] = _fraction_str(self.quotient)
+            doc["quotient"] = str(self.quotient)
         return doc
 
 

@@ -34,7 +34,6 @@ from .errors import ComputationError, InputError
 from .forms import (
     SymForm,
     SymTensor,
-    _fraction_str,
     generic_sample_points,
     is_integrable,
     is_squarefree_at,
@@ -56,8 +55,6 @@ from .projective import (
 
 EXIT_OK = 0
 EXIT_FALSE = 1
-EXIT_INPUT = InputError.exit_code
-EXIT_COMPUTE = ComputationError.exit_code
 
 
 # -- input parsing -------------------------------------------------------------
@@ -94,7 +91,7 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _parse_int(text: str) -> int:
-    """Integer option value; with ``type=int`` argparse would print usage text instead."""
+    """Integer option value, refused as ``bad integer`` (``type=int`` words it differently)."""
     try:
         return int(text)
     except ValueError as exc:
@@ -314,7 +311,7 @@ def _cmd_squarefree(args) -> tuple[int, dict]:
         points = generic_sample_points(form, args.count)
     results = [is_squarefree_at(form, point) for point in points]
     doc = {
-        "points": [[_fraction_str(c) for c in point] for point in points],
+        "points": [[str(c) for c in point] for point in points],
         "results": results,
         "all_squarefree": all(results),
     }
@@ -418,8 +415,15 @@ def _cmd_duality(args) -> tuple[int, dict]:
 # -- argument parser ---------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refusals become ``input_error`` documents, not usage text; subparsers share the class."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fol",
         description="Exact computations with webs and foliations on projective space.",
     )
@@ -528,7 +532,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(_attach_signed_values(argv))
         code, document = args.handler(args)
     except (InputError, ComputationError) as exc:
-        # A bad integer option fails inside parse_args, before ``args`` exists.
+        # A refused command line fails inside parse_args, before ``args`` exists.
         table = args.table if args is not None else "--table" in argv
         _emit({"error": exc.code, "message": str(exc)}, table)
         return exc.exit_code

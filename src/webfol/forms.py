@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +36,7 @@ from .errors import (
     SingularPointError,
     ValidationError,
 )
-from .poly import _ONE, Polynomial, Scalar, _make, _negated, _primitive, poly_gcd_many
+from .poly import Polynomial, Scalar, _join, _ratio, _split, poly_gcd_many
 
 MultiIndex = tuple[int, ...]
 
@@ -90,24 +89,19 @@ class SymTensor:
                 clean[dmono] = poly
         self.ndiff = ndiff
         self.k = k
-        self._w = _symbol(ndiff, clean)
+        self._w = _join(clean, nvars + ndiff if clean else 2 * ndiff)
         self._coeffs = clean
 
     @property
     def coeffs(self) -> dict[MultiIndex, Polynomial]:
         """The coefficients A_I by multi-index I: the symbol's terms grouped by y-exponent."""
         if self._coeffs is None:
-            w = self._w
-            m = w.nvars - self.ndiff
-            groups: dict[MultiIndex, dict[tuple[int, ...], int]] = {}
-            for e, v in w._terms.items():
-                groups.setdefault(e[m:], {})[e[:m]] = v
-            self._coeffs = {I: _primitive(m, terms, w._c) for I, terms in groups.items()}
+            self._coeffs = _split(self._w, self.coeff_nvars())
         return self._coeffs
 
     @property
     def is_zero(self) -> bool:
-        return not self._w._terms
+        return self._w.is_zero
 
     def coeff_nvars(self) -> int:
         return self._w.nvars - self.ndiff
@@ -209,35 +203,16 @@ def _from_symbol(ndiff: int, k: int, w: Polynomial) -> SymTensor:
     t = object.__new__(SymTensor)
     t.ndiff = ndiff
     t.k = k
-    t._w = w if w._terms else _make(2 * ndiff, {}, _ONE)
+    t._w = w if not w.is_zero else Polynomial.zero(2 * ndiff)
     t._coeffs = None
     return t
-
-
-def _symbol(ndiff: int, coeffs: dict[MultiIndex, Polynomial]) -> Polynomial:
-    """The symbol of a coefficient map, its coefficients brought over one denominator."""
-    if not coeffs:
-        return _make(2 * ndiff, {}, _ONE)
-    m = next(iter(coeffs.values())).nvars
-    # Each coefficient is c_I * P_I with P_I primitive; c_I = g * w_I / den with
-    # coprime ints w_I makes sum_I w_I * P_I * y^I primitive.
-    den = math.lcm(*(A._c.denominator for A in coeffs.values()))
-    nums = {I: A._c.numerator * (den // A._c.denominator) for I, A in coeffs.items()}
-    g = math.gcd(*nums.values())
-    terms = {}
-    for I, A in coeffs.items():
-        w = nums[I] // g
-        for e, v in A._terms.items():
-            terms[e + I] = w * v
-    return _make(m + ndiff, terms, Fraction(g, den))
 
 
 def _lift(value: Union[Polynomial, Scalar], nvars: int) -> Union[Polynomial, Scalar]:
     """A polynomial in the first variables of a ring of nvars variables; scalars stay."""
     if not isinstance(value, Polynomial):
         return value
-    pad = (0,) * (nvars - value.nvars)
-    return _make(nvars, {e + pad: v for e, v in value._terms.items()}, value._c)
+    return _join({(0,) * (nvars - value.nvars): value}, nvars)
 
 
 def _dot(row, vector, nvars: int) -> Polynomial:
@@ -245,7 +220,7 @@ def _dot(row, vector, nvars: int) -> Polynomial:
     products = [
         a * b if isinstance(a, Polynomial) else b * a for a, b in zip(row, vector) if a and b
     ]
-    return functools.reduce(operator.add, products) if products else _make(nvars, {}, _ONE)
+    return functools.reduce(operator.add, products) if products else Polynomial.zero(nvars)
 
 
 def _pull(form: SymTensor, rows, xs, nvars: int) -> SymTensor:
@@ -461,22 +436,12 @@ def lie_derivative(field: Sequence[Polynomial], form: SymTensor) -> SymTensor:
 
 
 def proportionality_constant(reference: SymTensor, candidate: SymTensor) -> Optional[Fraction]:
-    """The constant c with candidate = c * reference, or None.
-
-    Decided on the symbols: a polynomial is a positive content times a unique
-    primitive part, so W' = c * W for a nonzero c exactly when the primitive
-    parts agree up to sign, and then c is that sign times the content ratio.
-    """
+    """The constant c with candidate = c * reference, or None: W' = c * W on the symbols."""
     if candidate.is_zero:
         return Fraction(0)
     if reference.is_zero or reference.ndiff != candidate.ndiff:
         return None
-    w, v = reference._w, candidate._w
-    if v._terms == w._terms:
-        return v._c / w._c
-    if v._terms == _negated(w._terms):
-        return -v._c / w._c
-    return None
+    return _ratio(candidate._w, reference._w)
 
 
 def flow_preserves(field: Sequence[Polynomial], form: SymForm) -> bool:
@@ -516,12 +481,8 @@ class BinaryForm:
     def to_json_dict(self) -> dict:
         return {
             "degree": self.degree,
-            "coefficients": [_fraction_str(c) for c in self.coefficients],
+            "coefficients": [str(c) for c in self.coefficients],
         }
-
-
-def _fraction_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def restrict_to_line(

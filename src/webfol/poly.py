@@ -495,6 +495,49 @@ def _mul_ints(a: dict[Exponent, int], b: dict[Exponent, int]) -> dict[Exponent, 
     return {e: v for e, v in out.items() if v}
 
 
+def _split(p: Polynomial, m: int) -> dict[Exponent, Polynomial]:
+    """p = sum_t C_t * x_tail^t as {t: C_t}, each C_t in the first m variables."""
+    groups: dict[Exponent, dict[Exponent, int]] = {}
+    for e, v in p._terms.items():
+        groups.setdefault(e[m:], {})[e[:m]] = v
+    return {t: _primitive(m, terms, p._c) for t, terms in groups.items()}
+
+
+def _join(parts: Mapping[Exponent, Polynomial], nvars: int) -> Polynomial:
+    """sum_t C_t * x_tail^t in nvars variables, the inverse of ``_split``; zero parts are skipped."""
+    if len(parts) == 1:
+        ((t, C),) = parts.items()
+        return _make(nvars, {e + t: v for e, v in C._terms.items()}, C._c)
+    parts = [(t, C) for t, C in parts.items() if C._terms]
+    if not parts:
+        return _make(nvars, {}, _ONE)
+    # Each part is c_t * P_t with P_t primitive; c_t = g * w_t / den with
+    # coprime ints w_t makes sum_t w_t * P_t * x_tail^t primitive.
+    den = math.lcm(*(C._c.denominator for _, C in parts))
+    nums = [C._c.numerator * (den // C._c.denominator) for _, C in parts]
+    g = math.gcd(*nums)
+    terms: dict[Exponent, int] = {}
+    for (t, C), w in zip(parts, nums):
+        w //= g
+        terms.update({e + t: w * v for e, v in C._terms.items()})
+    return _make(nvars, terms, Fraction(g, den))
+
+
+def _ratio(p: Polynomial, q: Polynomial) -> Optional[Fraction]:
+    """The c with p = c * q (0 when p is zero), or None.
+
+    Primitive parts are unique, so for nonzero p they must agree up to sign,
+    and then c is that sign times the content ratio.
+    """
+    if not p._terms:
+        return Fraction(0)
+    if p._terms == q._terms:
+        return p._c / q._c
+    if p._terms == _negated(q._terms):
+        return -p._c / q._c
+    return None
+
+
 def _combine(p: Polynomial, q: Polynomial, sign: int) -> Polynomial:
     """p + sign*q: both contents as integer multiples of their rational gcd."""
     if not q._terms:
@@ -624,19 +667,9 @@ def _deg_last(p: Polynomial) -> int:
     return max(e[-1] for e in p._terms)
 
 
-def _coeffs_by_last(p: Polynomial) -> dict[int, Polynomial]:
-    """Recursive view: degree in the last variable -> (nvars-1)-poly."""
-    split: dict[int, dict[Exponent, int]] = {}
-    for exp, v in p._terms.items():
-        split.setdefault(exp[-1], {})[exp[:-1]] = v
-    return {d: _primitive(p.nvars - 1, t, p._c) for d, t in split.items()}
-
-
-def _lift_last(p: Polynomial, last_degree: int = 0) -> Polynomial:
+def _lift_last(p: Polynomial) -> Polynomial:
     """Reinterpret an (n-1)-variable polynomial inside n variables."""
-    return _make(
-        p.nvars + 1, {exp + (last_degree,): v for exp, v in p._terms.items()}, p._c
-    )
+    return _join({(0,): p}, p.nvars + 1)
 
 
 def _lc_last(p: Polynomial, last_degree: int = 0) -> Polynomial:
@@ -648,7 +681,7 @@ def _lc_last(p: Polynomial, last_degree: int = 0) -> Polynomial:
 
 def _content_last(p: Polynomial) -> Polynomial:
     """Content with respect to the last variable, as an (nvars-1)-poly."""
-    return poly_gcd_many(_coeffs_by_last(p).values())
+    return poly_gcd_many(_split(p, p.nvars - 1).values())
 
 
 def _scalar_normalised(p: Polynomial) -> Polynomial:
@@ -670,9 +703,11 @@ def _prem_last(f: Polynomial, g: Polynomial) -> Polynomial:
     return r
 
 
-def _primitive_last(p: Polynomial) -> Polynomial:
-    content = _lift_last(_content_last(p))
-    quotient = p.try_divide(content)
+def _primitive_last(p: Polynomial, content: Optional[Polynomial] = None) -> Polynomial:
+    """p divided by its content in the last variable (computed unless given)."""
+    if content is None:
+        content = _content_last(p)
+    quotient = p.try_divide(_lift_last(content))
     assert quotient is not None, "content must divide its polynomial"
     return quotient
 
@@ -713,16 +748,12 @@ def _gcd_nonzero(p: Polynomial, q: Polynomial) -> Polynomial:
     dp, dq = _deg_last(p), _deg_last(q)
     if dp == 0 and dq == 0:
         # Both live in the subring without the last variable.
-        sub = poly_gcd(
-            _make(n - 1, {e[:-1]: v for e, v in p._terms.items()}, p._c),
-            _make(n - 1, {e[:-1]: v for e, v in q._terms.items()}, q._c),
-        )
-        return _lift_last(sub)
+        return _lift_last(poly_gcd(_split(p, n - 1)[(0,)], _split(q, n - 1)[(0,)]))
     content_p = _content_last(p)
     content_q = _content_last(q)
     content_gcd = _lift_last(poly_gcd(content_p, content_q))
-    f = _primitive_last(p)
-    g = _primitive_last(q)
+    f = _primitive_last(p, content_p)
+    g = _primitive_last(q, content_q)
     if _deg_last(f) < _deg_last(g):
         f, g = g, f
     while True:
@@ -738,6 +769,5 @@ def _gcd_nonzero(p: Polynomial, q: Polynomial) -> Polynomial:
             main = g
             break
         f, g = g, _primitive_last(r)
-    if _deg_last(main) > 0:
-        main = _primitive_last(main)
+    # f and g are primitive in the last variable throughout, and so is main.
     return content_gcd * main

@@ -28,10 +28,10 @@ from .errors import (
 from .forms import (
     SymForm,
     SymTensor,
-    _fraction_str,
     _pull,
     multi_indices,
     proportionality_constant,
+    specialise_at_point,
 )
 from .poly import _PRIME, Polynomial, Scalar
 
@@ -59,7 +59,7 @@ class ProjMap:
             raise ValidationError("singular_matrix", "zero matrix is not invertible")
         if _determinant(ints) == 0:
             raise ValidationError("singular_matrix", "matrix is not invertible")
-        object.__setattr__(self, "_m", _primitive_matrix(ints))
+        object.__setattr__(self, "_m", _normalised_matrix(ints))
         object.__setattr__(self, "_entries", None)
 
     def __setattr__(self, name, value):
@@ -105,8 +105,8 @@ class ProjMap:
             raise InputError("size mismatch in projective map product")
         # A product of invertible maps is invertible: no determinant.
         columns = list(zip(*other._m))
-        return _make_map(
-            _primitive_matrix([[sum(map(mul, row, col)) for col in columns] for row in self._m])
+        return _trusted_map(
+            _normalised_matrix([[sum(map(mul, row, col)) for col in columns] for row in self._m])
         )
 
     def inverse(self) -> "ProjMap":
@@ -125,7 +125,7 @@ class ProjMap:
                 if r != col and aug[r][col]:
                     factor = aug[r][col]
                     aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-        return _make_map(_primitive_matrix(_integral([row[n:] for row in aug])))
+        return _trusted_map(_normalised_matrix(_integral([row[n:] for row in aug])))
 
     def sort_key(self):
         return tuple(v for row in self.entries for v in row)
@@ -142,7 +142,7 @@ class ProjMap:
         return f"ProjMap({[[str(v) for v in row] for row in self.entries]})"
 
     def to_json_list(self) -> list[str]:
-        return [_fraction_str(v) for row in self.entries for v in row]
+        return [str(v) for row in self.entries for v in row]
 
     @classmethod
     def from_json_list(cls, data: Sequence) -> "ProjMap":
@@ -166,7 +166,7 @@ class ProjMap:
 # from their primitive integer matrix without a determinant.
 
 
-def _make_map(m: tuple[tuple[int, ...], ...]) -> ProjMap:
+def _trusted_map(m: tuple[tuple[int, ...], ...]) -> ProjMap:
     """A map from its primitive, sign-normalised int matrix, unchecked."""
     g = object.__new__(ProjMap)
     object.__setattr__(g, "_m", m)
@@ -180,7 +180,7 @@ def _integral(rows: list[list[Fraction]]) -> list[list[int]]:
     return [[v.numerator * (den // v.denominator) for v in row] for row in rows]
 
 
-def _primitive_matrix(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+def _normalised_matrix(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     """A nonzero int matrix divided by the gcd of its entries, first nonzero entry positive."""
     g = math.gcd(*(v for row in rows for v in row))
     if next(v for row in rows for v in row if v) < 0:
@@ -273,9 +273,7 @@ class BezoutSystem:
             "nvars": self.n_matrix_vars,
             "var_names": list(self.var_names),
             "generators": [g.to_json_dict() for g in self.generators],
-            "sample_points": [
-                [_fraction_str(c) for c in point] for point in self.sample_points
-            ],
+            "sample_points": [[str(c) for c in point] for point in self.sample_points],
             "declared_degree": self.declared_degree,
             "coefficient_degree": self.coefficient_degree,
         }
@@ -338,13 +336,14 @@ def invariance_system(
         point = tuple(Fraction(v) for v in raw_point)
         if len(point) != n:
             raise InputError(f"sample point needs {n} coordinates")
-        values = {I: form.coefficient(I).evaluate(point) for I in indices}
-        if not any(values.values()):
+        frozen = specialise_at_point(form, point)
+        if frozen.is_zero:
             raise SingularPointError(
                 f"sample point {tuple(map(str, point))} lies in the singular set"
             )
         frozen_points.append(point)
         pulled = _pull(form, rows, point, n_vars)
+        values = {I: frozen.coefficient(I) for I in indices}
         generators.extend(_minors(pulled, values, indices, n_vars))
     return BezoutSystem(
         n_matrix_vars=n_vars,
@@ -390,7 +389,7 @@ def export_system(system: BezoutSystem, fmt: str = "json") -> str:
         lines = [f"ring Q[{','.join(system.var_names)}]"]
         lines.append(f"degree {system.declared_degree}")
         for point in system.sample_points:
-            lines.append("point " + " ".join(_fraction_str(c) for c in point))
+            lines.append("point " + " ".join(str(c) for c in point))
         for g in system.generators:
             lines.append("gen " + g.render(system.var_names))
         return "\n".join(lines) + "\n"

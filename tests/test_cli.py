@@ -493,6 +493,42 @@ def test_a_non_integer_option_value_is_an_input_error(capsys, argv):
     assert capsys.readouterr().out == "error: input_error\nmessage: bad integer 'abc'\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("degree",), "the following arguments are required: --form"),
+        (("closure", "--form", "radial.json"), "the following arguments are required: --map"),
+        ((), "the following arguments are required: command"),
+        (("nocommand",), "argument command: invalid choice: 'nocommand'"),
+        (("hij", "--form", "radial.json", "--format", "xml"), "argument --format: invalid choice: 'xml'"),
+    ],
+    ids=["missing-option", "missing-repeatable-option", "missing-command", "unknown-command", "bad-format"],
+)
+def test_a_refused_command_line_is_an_input_error_document(capsys, argv, message):
+    # argparse's own refusal printed usage text to stderr and nothing to stdout.
+    from webfol import cli
+
+    argv = [fx(a) if a.endswith(".json") else a for a in argv]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["error"] == "input_error" and doc["message"].startswith(message)
+    assert captured.err == ""
+    assert cli.main(["--table", *argv]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"error: input_error\nmessage: {message}") and out.endswith("\n")
+
+
+def test_help_still_exits_zero_in_process(capsys):
+    from webfol import cli
+
+    for argv in (["--help"], ["hij", "--help"]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: fol")
+
+
 def test_help_lists_all_commands():
     r = run_cli("--help")
     assert r.returncode == 0

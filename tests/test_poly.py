@@ -1,6 +1,8 @@
+import ast
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +12,16 @@ from webfol.errors import InputError
 from webfol import poly
 from webfol.blowup import LocalFoliation
 from webfol.forms import SymForm
-from webfol.poly import Polynomial, _coprime_mod_p, _gcd_nonzero, poly_gcd, poly_gcd_many
+from webfol.poly import (
+    Polynomial,
+    _coprime_mod_p,
+    _gcd_nonzero,
+    _join,
+    _ratio,
+    _split,
+    poly_gcd,
+    poly_gcd_many,
+)
 
 from helpers import (
     kernel_invariants_hold,
@@ -353,6 +364,56 @@ def test_representation_is_content_times_primitive_ints():
         assert kernel_invariants_hold(poly)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(polynomials(n), st.integers(min_value=1, max_value=n))
+    ),
+    small_fractions,
+)
+def test_split_and_join_are_inverse(data, scalar):
+    p, m = data
+    parts = _split(p, m)
+    for t, part in parts.items():
+        assert part.nvars == m and len(t) == p.nvars - m
+        assert not part.is_zero and kernel_invariants_hold(part)
+        assert ref_terms(part) == {e[:m]: c for e, c in ref_terms(p).items() if e[m:] == t}
+    joined = _join(parts, p.nvars)
+    assert joined == p and kernel_invariants_hold(joined)
+    # A zero part is skipped.
+    spare = (max((sum(t) for t in parts), default=0) + 1,) + (0,) * (p.nvars - m - 1)
+    if m < p.nvars:
+        assert _join({**parts, spare: Polynomial.zero(m)}, p.nvars) == p
+    spike = Polynomial.monomial(p.nvars, (5,) + (0,) * (p.nvars - 1))
+    assert _ratio(p * scalar, p) == (scalar if p else 0)
+    assert _ratio(p + spike, p) is None
+
+
+# -- the representation stays in poly.py ----------------------------------------
+
+_PUBLIC_PRIVATES = {"_split", "_join", "_ratio", "_PRIME"}
+
+
+def test_only_poly_reads_the_polynomial_representation():
+    # Other modules go through the public API and the helpers above, so a
+    # change of representation (packed exponents, say) touches poly.py only.
+    src = Path(__file__).resolve().parents[1] / "src" / "webfol"
+    offences = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("_terms", "_c"):
+                offences.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "poly":
+                offences += [
+                    f"{path.name}:{node.lineno} imports {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and alias.name not in _PUBLIC_PRIVATES
+                ]
+    assert offences == []
+
+
 def test_gcd_agrees_with_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(5)
@@ -477,3 +538,30 @@ def test_coprime_inputs_never_reach_the_remainder_sequence(monkeypatch):
     assert calls == []
     poly_gcd(x * y, x * z)
     assert calls
+
+
+def test_each_content_is_computed_once_in_the_remainder_sequence(monkeypatch):
+    # In two variables the contents are univariate, so every _content_last
+    # call is the top-level sequence's own: one for each input, and one for
+    # each nonzero pseudo-remainder made primitive.  The inputs' contents used
+    # to be computed twice, and the result's once more.
+    x, y = Polynomial.variables(2)
+    f = x * y + 2 * y ** 2 - 3
+    p, q = f * (x ** 2 * y - y + 1), f * (x * y ** 2 + 2 * x - 5)
+    contents, remainders = [], []
+    content_last, prem_last = poly._content_last, poly._prem_last
+
+    def counted_content(a):
+        contents.append(a)
+        return content_last(a)
+
+    def counted_prem(a, b):
+        r = prem_last(a, b)
+        if r:
+            remainders.append(r)
+        return r
+
+    monkeypatch.setattr(poly, "_content_last", counted_content)
+    monkeypatch.setattr(poly, "_prem_last", counted_prem)
+    assert _gcd_nonzero(p, q).monic() == f.monic()
+    assert remainders and len(contents) == 2 + len(remainders)
