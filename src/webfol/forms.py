@@ -36,7 +36,7 @@ from .errors import (
     SingularPointError,
     ValidationError,
 )
-from .poly import Polynomial, Scalar, _join, _ratio, _split, poly_gcd_many
+from .poly import Polynomial, Scalar, _join, _ratio, _relabel, _split, poly_gcd_many
 
 MultiIndex = tuple[int, ...]
 
@@ -230,9 +230,17 @@ def _pull(form: SymTensor, rows, xs, nvars: int) -> SymTensor:
     polynomial in that ring.  Substitutes x_i -> sum_j rows[i][j] * xs[j] in the
     coefficients and dx_i -> sum_m rows[i][m] * dy_m in the slots, one
     composition of the symbol; the result has r differentials dy_0 .. dy_{r-1}.
+    A signed permutation acting on the ring's own variables sends x_i to
+    +-x_c(i) and y_i to +-y_c(i), so the symbol is only relabelled.
     """
     if len(rows) != form.ndiff:
         raise InputError(f"matrix size {len(rows)} does not match the form ({form.ndiff})")
+    if len(xs) == nvars == form.coeff_nvars() and xs == Polynomial.variables(nvars):
+        signed = _signed_permutation(rows)
+        if signed:
+            columns, signs = signed
+            images = columns + [nvars + c for c in columns]
+            return _from_symbol(nvars, form.k, _relabel(form._w, images, signs + signs))
     total = nvars + len(xs)
     rows = [[_lift(v, total) for v in row] for row in rows]
     xs = [_lift(v, total) for v in xs]
@@ -240,6 +248,21 @@ def _pull(form: SymTensor, rows, xs, nvars: int) -> SymTensor:
     dx = [_dot(row, ys, total) for row in rows]
     pulled = form._w.compose([_dot(row, xs, total) for row in rows] + dx)
     return _from_symbol(len(xs), form.k, pulled)
+
+
+def _signed_permutation(rows) -> Optional[tuple[list[int], list[int]]]:
+    """(columns, signs) of a square number matrix with one entry +-1 per row and column, or None."""
+    columns, signs = [], []
+    for row in rows:
+        nonzero = [(j, v) for j, v in enumerate(row) if v]
+        if len(row) != len(rows) or len(nonzero) != 1:
+            return None
+        j, v = nonzero[0]
+        if isinstance(v, Polynomial) or abs(v) != 1:
+            return None
+        columns.append(j)
+        signs.append(int(v))
+    return (columns, signs) if len(set(columns)) == len(columns) else None
 
 
 class SymForm(SymTensor):

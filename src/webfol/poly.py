@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import InputError
@@ -40,7 +40,7 @@ _ONE = Fraction(1)
 
 def grlex_key(exponents: Exponent) -> tuple[int, Exponent]:
     """Sort key realising the canonical graded-lex order (larger = leading)."""
-    return (sum(exponents), tuple(reversed(exponents)))
+    return (sum(exponents), exponents[::-1])
 
 
 class Polynomial:
@@ -493,6 +493,24 @@ def _mul_ints(a: dict[Exponent, int], b: dict[Exponent, int]) -> dict[Exponent, 
             e = tuple(map(add, ea, eb))
             out[e] = get(e, 0) + va * vb
     return {e: v for e, v in out.items() if v}
+
+
+def _relabel(p: Polynomial, images: Sequence[int], signs: Sequence[int]) -> Polynomial:
+    """p with x_i -> signs[i] * x_{images[i]}, ``images`` a permutation of the variables, signs +-1.
+
+    Each term goes to one term, so nothing is expanded: v*x^e becomes v times
+    the monomial with permuted exponents, negated when the flipped variables
+    have odd total degree in x^e.  The int map only changes signs, so it stays
+    primitive and the content is kept.
+    """
+    n = p.nvars
+    sources = [0] * n
+    for i, j in enumerate(images):
+        sources[j] = i
+    move = itemgetter(*sources) if n > 1 else tuple
+    flips = [i for i, s in enumerate(signs) if s == -1]
+    terms = {move(e): -v if sum(e[i] for i in flips) & 1 else v for e, v in p._terms.items()}
+    return _make(n, terms, p._c)
 
 
 def _split(p: Polynomial, m: int) -> dict[Exponent, Polynomial]:

@@ -29,6 +29,7 @@ from .forms import (
     SymForm,
     SymTensor,
     _pull,
+    _signed_permutation,
     multi_indices,
     proportionality_constant,
     specialise_at_point,
@@ -420,7 +421,7 @@ class FiniteGroup:
         return len(self.elements)
 
     def __contains__(self, item: ProjMap) -> bool:
-        return item in set(self.elements)
+        return item in self.elements
 
 
 def group_closure(
@@ -505,8 +506,11 @@ def _certainly_infinite_order(g: ProjMap) -> bool:
 
     If g has finite order, the power M^L(n) of its integer matrix M is an
     integer scalar matrix c*I, hence scalar modulo the prime too; so a power
-    that is not scalar modulo the prime proves infinite order.
+    that is not scalar modulo the prime proves infinite order.  A signed
+    permutation lies in a finite group, so it answers False without a power.
     """
+    if _signed_permutation(g._m):
+        return False
     p = _PRIME
     n = g.size
     base = [[v % p for v in row] for row in g._m]

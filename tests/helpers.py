@@ -546,15 +546,13 @@ def ref_pull(form: SymTensor, rows, xs, nvars: int) -> SymTensor:
     ]
     linear = [_ref_linear_differential(rows[i], nvars) for i in range(n)]
     total = SymTensor(n, form.k, {})
+    one = SymTensor(n, 0, {(0,) * n: Polynomial.constant(nvars, 1)})
     for dmono, poly in form.coeffs.items():
         composed = poly.compose(coordinate_subs)
-        expansion = None
+        expansion = one
         for j, ij in enumerate(dmono):
             for _ in range(ij):
-                expansion = (
-                    linear[j] if expansion is None else ref_sym_mul(expansion, linear[j])
-                )
-        assert expansion is not None
+                expansion = ref_sym_mul(expansion, linear[j])
         total = total + expansion.scale(composed)
     return total
 

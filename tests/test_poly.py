@@ -18,6 +18,7 @@ from webfol.poly import (
     _gcd_nonzero,
     _join,
     _ratio,
+    _relabel,
     _split,
     poly_gcd,
     poly_gcd_many,
@@ -389,9 +390,31 @@ def test_split_and_join_are_inverse(data, scalar):
     assert _ratio(p + spike, p) is None
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(
+            polynomials(n),
+            st.permutations(range(n)),
+            st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n),
+        )
+    )
+)
+def test_relabel_is_the_signed_permutation_substitution(data):
+    p, images, signs = data
+    xs = Polynomial.variables(p.nvars)
+    substitutions = [s * xs[j] for j, s in zip(images, signs)]
+    relabelled = _relabel(p, images, signs)
+    assert relabelled == p.compose(substitutions)
+    assert kernel_invariants_hold(relabelled)
+    assert ref_terms(relabelled) == ref_compose(
+        ref_terms(p), [ref_terms(s) for s in substitutions], p.nvars
+    )
+
+
 # -- the representation stays in poly.py ----------------------------------------
 
-_PUBLIC_PRIVATES = {"_split", "_join", "_ratio", "_PRIME"}
+_PUBLIC_PRIVATES = {"_split", "_join", "_ratio", "_relabel", "_PRIME"}
 
 
 def test_only_poly_reads_the_polynomial_representation():

@@ -14,8 +14,15 @@ from webfol.errors import (
     SingularPointError,
     ValidationError,
 )
-from webfol.forms import SymForm, SymTensor, generic_sample_points
-from webfol import projective
+from webfol import forms, projective
+from webfol.forms import (
+    SymForm,
+    SymTensor,
+    generic_sample_points,
+    multi_indices,
+    proportionality_constant,
+    restrict_to_line,
+)
 from webfol.bounds import foliation_aut_bound
 from webfol.poly import Polynomial
 from webfol.projective import (
@@ -48,6 +55,7 @@ from helpers import (
     radial_form,
     random_projmap,
     random_rational_projmap,
+    ref_pull,
     ref_determinant,
     ref_inverse,
     ref_map_text,
@@ -193,6 +201,152 @@ def test_preserves_agrees_with_the_minors_reference_on_every_fixture():
             assert preserves(m, form) == expected, (name, m)
             verdicts.add(expected)
     assert verdicts == {True, False}
+
+
+# -- monomial maps ------------------------------------------------------------------------
+#
+# A signed permutation pulls the symbol back by relabelling (poly._relabel);
+# every other monomial matrix takes the general composition.  ref_pull, the
+# multi-index expansion, is the reference for both.
+
+SHIPPED_FORMS = shipped_forms()
+
+
+@st.composite
+def monomial_rows(draw, n):
+    """An invertible monomial matrix, entries in {+-1, +-2, +-3}; half are signed permutations."""
+    perm = draw(st.permutations(range(n)))
+    entries = [1, -1] if draw(st.booleans()) else [1, -1, 2, -2, 3, -3]
+    scales = draw(st.lists(st.sampled_from(entries), min_size=n, max_size=n))
+    return [[scales[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def raw_tensors(draw, n):
+    """Tensors on n differentials whose coefficients need not be homogeneous."""
+    k = draw(st.integers(min_value=0, max_value=2))
+    coeffs = {}
+    for I in draw(st.lists(st.sampled_from(multi_indices(n, k)), max_size=3, unique=True)):
+        exponents = st.tuples(*[st.integers(min_value=0, max_value=2)] * n)
+        coeffs[I] = Polynomial(n, draw(st.dictionaries(exponents, small_fractions, max_size=3)))
+    return SymTensor(n, k, coeffs)
+
+
+def _dilations(n):
+    return [
+        [[(2 if i == 0 else 1) * (i == j) for j in range(n)] for i in range(n)],
+        [[(-3 if i == 0 else -1) * (i == j) for j in range(n)] for i in range(n)],
+    ]
+
+
+def _reference_pull(form, rows):
+    n = form.ndiff
+    return ref_pull(form, rows, Polynomial.variables(n), n)
+
+
+def _assert_pullbacks_match_the_reference(form, rows):
+    n = form.ndiff
+    m = ProjMap(rows)
+    for matrix in (rows, m._m, m.entries):
+        pulled = forms._pull(form, matrix, Polynomial.variables(n), n)
+        reference = _reference_pull(form, matrix)
+        assert pulled == reference and pulled.to_json_dict() == reference.to_json_dict()
+        assert tensor_invariants_hold(pulled)
+    reference = _reference_pull(form, m.entries)
+    assert pullback_tensor(m, form).to_json_dict() == reference.to_json_dict()
+    if isinstance(form, SymForm):
+        expected = proportionality_constant(form, _reference_pull(form, m._m)) is not None
+        assert preserves(m, form) == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_monomial_pullbacks_match_the_reference_on_every_fixture(data):
+    for form in SHIPPED_FORMS.values():
+        n = form.ndiff
+        _assert_pullbacks_match_the_reference(form, data.draw(monomial_rows(n)))
+        tensor = data.draw(raw_tensors(n))
+        _assert_pullbacks_match_the_reference(tensor, data.draw(monomial_rows(n)))
+
+
+def test_dilations_match_the_reference_on_every_fixture():
+    for form in SHIPPED_FORMS.values():
+        for rows in _dilations(form.ndiff):
+            _assert_pullbacks_match_the_reference(form, rows)
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_preserving_candidates_compose_nothing(monkeypatch):
+    chosen = [SHIPPED_FORMS[name] for name in ("example.json", "contact_p3.json")]
+    calls = _counting(monkeypatch, Polynomial, "compose")
+    assert [len(preserving_candidates(form)) for form in chosen] == [2, 32]
+    assert calls == []
+
+
+def test_closure_of_signed_permutations_takes_no_modular_power(monkeypatch):
+    form = SHIPPED_FORMS["contact_p3.json"]
+    generators = preserving_candidates(form)
+    calls = _counting(monkeypatch, projective, "_matmul_mod")
+    assert group_closure(generators, form).order == 32
+    assert calls == []
+
+
+def test_the_relabelling_serves_signed_permutations_only(monkeypatch):
+    form = conic_pencil_form()
+    swap = ProjMap.swap(3, 0, 1)
+    flip = ProjMap.diagonal([1, -1, 1])
+    dilation = ProjMap.diagonal([2, 1, 1])
+    shear = ProjMap([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    calls = _counting(monkeypatch, forms, "_relabel")
+    used = {}
+    for name, run in (
+        ("preserves", lambda: preserves(swap, form)),
+        ("pullback_tensor", lambda: pullback_tensor(flip, form)),
+        ("group_closure", lambda: group_closure([swap], form)),
+        ("dilation preserves", lambda: preserves(dilation, form)),
+        ("dilation pullback_tensor", lambda: pullback_tensor(dilation, form)),
+        ("shear", lambda: preserves(shear, form)),
+        ("invariance_system", lambda: invariance_system(form, generic_sample_points(form, 1))),
+        ("invariance_system_symbolic", lambda: invariance_system_symbolic(form)),
+        ("restrict_to_line", lambda: restrict_to_line(form, [1, 0, 1], [0, 1, 1])),
+    ):
+        before = len(calls)
+        run()
+        used[name] = len(calls) - before
+    assert used == {
+        "preserves": 1,
+        "pullback_tensor": 1,
+        "group_closure": 1,
+        "dilation preserves": 0,
+        "dilation pullback_tensor": 0,
+        "shear": 0,
+        "invariance_system": 0,
+        "invariance_system_symbolic": 0,
+        "restrict_to_line": 0,
+    }
+
+
+def test_the_order_shortcut_is_taken_by_signed_permutations_only(monkeypatch):
+    calls = _counting(monkeypatch, projective, "_matmul_mod")
+    for n in (2, 3, 4):
+        assert not any(_certainly_infinite_order(g) for g in signed_permutations(n))
+    assert calls == []
+    # Monomial but not +-1: order 2 in PGL_2, decided by the modular power.
+    assert not _certainly_infinite_order(ProjMap([[0, 2], [1, 0]]))
+    assert calls
+    assert _certainly_infinite_order(ProjMap.diagonal([2, 1]))
+    assert _certainly_infinite_order(ProjMap.diagonal([2, 1, 1]))
 
 
 # -- the matrix-variable system ----------------------------------------------------------

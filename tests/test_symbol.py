@@ -153,11 +153,16 @@ def test_restriction_matches_the_multi_index_expansion(form, p, q):
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(FORMS), st.lists(small_fractions, min_size=16, max_size=16),
-       st.lists(small_fractions, min_size=4, max_size=4))
-def test_pull_matches_the_multi_index_expansion(form, entries, point):
+       st.lists(small_fractions, min_size=4, max_size=4), st.permutations(range(4)),
+       st.lists(st.sampled_from([1, -1]), min_size=4, max_size=4))
+def test_pull_matches_the_multi_index_expansion(form, entries, point, perm, signs):
     n = form.ndiff
     rows = [entries[i * n : (i + 1) * n] for i in range(n)]
     xs = Polynomial.variables(n)
+    _same(forms._pull(form, rows, xs, n), ref_pull(form, rows, xs, n))
+    # A signed permutation, which _pull relabels.
+    columns = [j for j in perm if j < n]
+    rows = [[signs[i] if j == columns[i] else 0 for j in range(n)] for i in range(n)]
     _same(forms._pull(form, rows, xs, n), ref_pull(form, rows, xs, n))
     # The invariance system's rings: matrix entries, with the point fixed or free.
     avars = Polynomial.variables(n * n)
