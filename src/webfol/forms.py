@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -525,19 +526,24 @@ def restrict_to_line(
         raise InputError(f"line points need {n} coordinates")
     if _rank2(p, q) < 2:
         raise InputError("the two points do not span a line")
-    # The pullback's symbol lives in Q[s, t, u, v] with u = ds and v = dt.
-    pulled = _pull(form, list(zip(p, q)), Polynomial.variables(2), 2)._w
+    # At ds = 0 and dt = 1 the pullback B (s dt - t ds)^k is B s^k, which is
+    # W(s p + t q, q): contract the symbol with q, then compose once.  The
+    # Euler contraction of a SymForm vanishes, and so does that of its
+    # pullback, which is therefore B (s dt - t ds)^k with B free of ds and
+    # dt; dividing by (s dt - t ds)^k and looking for surviving differentials
+    # could never fail, so neither is done.
+    contracted = _dot(
+        list(form.coeffs.values()), [math.prod(map(pow, q, J)) for J in form.coeffs], n
+    )
+    s, t = Polynomial.variables(2)
+    pulled = contracted.compose([_dot(pair, (s, t), 2) for pair in zip(p, q)])
     if pulled.is_zero:
         raise NonGenericLineError("the form pulls back to zero on this line")
-    s, t, u, v = Polynomial.variables(4)
-    divisor = (s * v - t * u) ** form.k
-    quotient = pulled.try_divide(divisor)
-    if quotient is None:
+    if pulled.x_order(0) < form.k:
         raise NonGenericLineError(
             "the pullback is not divisible by the expected tangency factor"
         )
-    if any(exp[2] or exp[3] for exp, _ in quotient.terms()):
-        raise NonGenericLineError("unexpected differentials survive the restriction")
+    quotient = pulled.shift_down(0, form.k)
     d = form.degree
     if quotient.degree() != d or not quotient.is_homogeneous():
         raise NonGenericLineError(

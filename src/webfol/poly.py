@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, itemgetter
+from operator import add, itemgetter, sub
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import InputError
@@ -580,17 +580,29 @@ def _combine(p: Polynomial, q: Polynomial, sign: int) -> Polynomial:
 
 # -- greatest common divisors ----------------------------------------------------
 #
-# Multivariate GCD over Q by recursion on the number of variables: split off
-# the content with respect to the last variable, reduce the primitive parts by
-# a primitive pseudo-remainder sequence, and recurse for the contents.  The
-# sequence is exponential in the degree, so coprime inputs, the common case,
-# skip it: ``_coprime_mod_p`` certifies a constant GCD from one univariate
-# image per variable modulo a prime (the image argument behind Brown's modular
-# GCD, 1971) and leaves every other input to the exact path, so each answer is
-# the exact one.
+# Multivariate GCD over Q.  Two fast paths run in front of the exact one, and
+# both are checked against modular images so that every answer is the exact
+# GCD g up to a constant:
+#
+# - ``_gcd_degree_bounds`` reduces the members to one univariate image per
+#   variable modulo a prime and takes the degree of their GCD there: an upper
+#   bound on deg_i g (the image argument behind Brown's modular GCD, 1971).
+#   All bounds 0 certify a constant GCD.
+# - ``_gcd_by_evaluation`` builds a candidate G by integer evaluation (the
+#   heuristic GCD of Char, Geddes and Gonnet, 1989) and keeps it only when G
+#   divides every member and deg_i G equals every bound.  G | g and
+#   deg_i G <= deg_i g <= bound_i = deg_i G leave g/G constant.
+#
+# Every other input takes the exact path: split off the content with respect
+# to the last variable, reduce the primitive parts by a primitive
+# pseudo-remainder sequence, and recurse for the contents.  The sequence is
+# exponential in the degree.
 
 # The prime of every modular computation in the package, 2^61 - 1.
 _PRIME = 2305843009213693951
+
+# Evaluation points tried per variable by ``_gcd_by_evaluation``.
+_HEU_TRIES = 6
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -605,9 +617,8 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         return q.monic()
     if q.is_zero:
         return p.monic()
-    if _coprime_mod_p([p, q]):
-        return _constant(p.nvars, 1)
-    return _gcd_nonzero(p, q).monic()
+    verified = _verified_gcd([p, q])
+    return verified if verified is not None else _gcd_nonzero(p, q).monic()
 
 
 def poly_gcd_many(polys: Iterable[Polynomial]) -> Polynomial:
@@ -618,8 +629,10 @@ def poly_gcd_many(polys: Iterable[Polynomial]) -> Polynomial:
     nonzero = [p for p in family if not p.is_zero]
     if not nonzero:
         return family[0]
-    if len(nonzero) >= 2 and _coprime_mod_p(nonzero):
-        return _constant(family[0].nvars, 1)
+    if len(nonzero) >= 2:
+        verified = _verified_gcd(nonzero)
+        if verified is not None:
+            return verified
     nonzero.sort(key=lambda p: (p.degree(), len(p._terms)))
     result = nonzero[0]
     for p in nonzero[1:]:
@@ -629,21 +642,34 @@ def poly_gcd_many(polys: Iterable[Polynomial]) -> Polynomial:
     return result.monic()
 
 
-def _coprime_mod_p(polys: list[Polynomial]) -> bool:
-    """Sound fast path: True certifies that nonzero polynomials have constant GCD.
+def _verified_gcd(polys: list[Polynomial]) -> Optional[Polynomial]:
+    """The monic GCD of nonzero polynomials from the fast paths, or None."""
+    bounds = _gcd_degree_bounds(polys)
+    if bounds is None:
+        return None
+    if not any(bounds):
+        return _constant(polys[0].nvars, 1)
+    return _gcd_by_evaluation(polys, bounds)
+
+
+def _gcd_degree_bounds(polys: list[Polynomial]) -> Optional[list[int]]:
+    """Upper bounds on deg_i of the GCD g of nonzero polynomials, one per variable, or None.
 
     For each variable x_i of positive degree in every member, the others are
     fixed at x_j = j + 2 and the primitive int parts are reduced modulo the
-    prime.  The primitive GCD g divides every member, so lc_i(g) divides
-    each member's leading coefficient in x_i: an image that keeps some
-    member's x_i-degree keeps g's, and then a degree-0 GCD of the images in
-    F_p[x_i] forces deg_i g = 0.  A variable of degree 0 in some member has
-    degree 0 in g already.  Any other outcome is inconclusive (False).
+    prime.  g divides every member, so lc_i(g) divides each member's leading
+    coefficient in x_i: an image that keeps some member's x_i-degree keeps
+    g's, and g's image divides every image, so the degree of their GCD in
+    F_p[x_i] bounds deg_i g.  A variable of degree 0 in some member has bound
+    0.  When no member keeps its degree in some variable there is no bound
+    (None).
     """
     p = _PRIME
     degrees = [list(map(max, zip(*f._terms))) for f in polys]
+    bounds = []
     for i in range(polys[0].nvars):
         if not min(d[i] for d in degrees):
+            bounds.append(0)
             continue
         gcd, kept = [], False
         for f, d in zip(polys, degrees):
@@ -658,9 +684,102 @@ def _coprime_mod_p(polys: list[Polynomial]) -> bool:
             while image and not image[-1]:
                 image.pop()
             gcd = _gcd_mod_p(image, gcd)
-        if not kept or len(gcd) != 1:
-            return False
-    return True
+        if not kept:
+            return None
+        bounds.append(len(gcd) - 1)
+    return bounds
+
+
+def _gcd_by_evaluation(polys: list[Polynomial], bounds: list[int]) -> Optional[Polynomial]:
+    """The monic GCD of nonzero polynomials when evaluation finds it, or None.
+
+    The monomial content (each variable's least exponent over all members)
+    is taken out first and put back at the end, so that no power of a
+    variable turns into an integer factor of the evaluation point.  The
+    candidate from ``_heu_gcd`` divides every member; it is kept only when
+    its degree in each variable equals the bound, which makes it the GCD.
+    """
+    n = polys[0].nvars
+    shift = [min(e[i] for f in polys for e in f._terms) for i in range(n)]
+    family = [f._terms for f in polys]
+    if any(shift):
+        family = [{tuple(map(sub, e, shift)): v for e, v in f.items()} for f in family]
+    ints = _heu_gcd(family, n, [_HEU_TRIES * n])
+    if ints is None:
+        return None
+    if any(shift):
+        ints = {tuple(map(add, e, shift)): v for e, v in ints.items()}
+    if list(map(max, zip(*ints))) != bounds:
+        return None
+    return _make(n, ints, _ONE).monic()
+
+
+def _heu_gcd(
+    family: list[dict[Exponent, int]], m: int, budget: list[int]
+) -> Optional[dict[Exponent, int]]:
+    """A GCD in Z[x_0..x_{m-1}] of nonzero int maps that divides every member, or None.
+
+    Takes out the integer content c of the family, evaluates the last
+    variable at an integer xi, recurses, and reads the candidate off the
+    balanced xi-adic digits of the integer-coefficient GCD found there.  The
+    candidate's primitive part times c is returned when it divides every
+    member; otherwise xi grows, at most ``_HEU_TRIES`` values here and
+    ``budget[0]`` evaluations in all.  A failure below returns None at once.
+    """
+    if m == 0:
+        return {(): math.gcd(*(f[()] for f in family))}
+    c = math.gcd(*(v for f in family for v in f.values()))
+    if c > 1:
+        family = [{e: v // c for e, v in f.items()} for f in family]
+    xi = 2 * min(max(map(abs, f.values())) for f in family) + 29
+    members = [_make(m, f, _ONE) for f in family]
+    for _ in range(_HEU_TRIES):
+        if budget[0] <= 0:
+            return None
+        budget[0] -= 1
+        evaluated = [_evaluate_last(f, xi) for f in family]
+        if all(evaluated):
+            inner = _heu_gcd(evaluated, m - 1, budget)
+            if inner is None:
+                return None
+            candidate = _primitive(m, _xi_adic(inner, xi), _ONE)
+            # A constant candidate is +-1, being primitive, and divides every member.
+            if candidate.degree() == 0 or all(f.try_divide(candidate) is not None for f in members):
+                return {e: c * v for e, v in candidate._terms.items()}
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _evaluate_last(f: dict[Exponent, int], xi: int) -> dict[Exponent, int]:
+    """The int map f with its last variable set to xi, cancelled terms dropped."""
+    out: dict[Exponent, int] = {}
+    get = out.get
+    for e, v in f.items():
+        head = e[:-1]
+        out[head] = get(head, 0) + v * xi ** e[-1]
+    return {e: v for e, v in out.items() if v}
+
+
+def _xi_adic(h: dict[Exponent, int], xi: int) -> dict[Exponent, int]:
+    """sum_k D_k x_last^k, where D_k holds the k-th balanced xi-adic digit of each coefficient of h.
+
+    Its value at x_last = xi is h.
+    """
+    out: dict[Exponent, int] = {}
+    half, k = xi // 2, 0
+    while h:
+        rest = {}
+        for e, v in h.items():
+            digit = v % xi
+            if digit > half:
+                digit -= xi
+            if digit:
+                out[e + (k,)] = digit
+            v = (v - digit) // xi
+            if v:
+                rest[e] = v
+        h, k = rest, k + 1
+    return out
 
 
 def _gcd_mod_p(a: list[int], b: list[int]) -> list[int]:

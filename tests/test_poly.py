@@ -14,7 +14,8 @@ from webfol.blowup import LocalFoliation
 from webfol.forms import SymForm
 from webfol.poly import (
     Polynomial,
-    _coprime_mod_p,
+    _gcd_by_evaluation,
+    _gcd_degree_bounds,
     _gcd_nonzero,
     _join,
     _ratio,
@@ -32,6 +33,7 @@ from helpers import (
     ref_partial,
     ref_terms,
     ref_try_divide,
+    to_sympy,
 )
 
 
@@ -463,7 +465,7 @@ def test_gcd_agrees_with_sympy():
             assert ours == converted.monic()
 
 
-# -- the modular coprimality certificate -----------------------------------------
+# -- the modular degree bounds and the evaluation GCD ------------------------------
 
 
 @st.composite
@@ -479,7 +481,105 @@ def planted_families(draw):
 @settings(max_examples=150, deadline=None)
 @given(planted_families())
 def test_certificate_never_passes_a_planted_common_factor(family):
-    assert not _coprime_mod_p(family)
+    # "Coprime" is "every bound is 0"; no bound at all also falls through.
+    bounds = _gcd_degree_bounds(family)
+    assert bounds is None or any(bounds)
+
+
+def _sympy_gcd(family):
+    """The monic GCD of a family from sympy, and its degree in each variable."""
+    sympy = pytest.importorskip("sympy")
+    nvars = family[0].nvars
+    gens = sympy.symbols(f"x0:{nvars}")
+    theirs = sympy.Poly(0, *gens, domain="QQ")
+    for f in family:
+        theirs = sympy.gcd(theirs, sympy.Poly(to_sympy(f, gens), *gens, domain="QQ"))
+    ours = Polynomial(nvars, {tuple(e): Fraction(str(c)) for e, c in theirs.terms()})
+    return ours.monic(), [theirs.degree(x) for x in gens]
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_families())
+def test_degree_bounds_bound_the_gcd_and_see_a_planted_factor(family):
+    bounds = _gcd_degree_bounds(family)
+    if bounds is None:
+        return
+    _, degrees = _sympy_gcd(family)
+    assert all(b >= d for b, d in zip(bounds, degrees))
+    assert any(bounds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_families())
+def test_planted_families_agree_with_sympy(family):
+    expected, _ = _sympy_gcd(family)
+    assert poly_gcd_many(family) == expected
+    assert poly_gcd(family[0], family[1]) == _sympy_gcd(family[:2])[0]
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(poly, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(poly, name, counted)
+    return calls
+
+
+def _remainder_sequence_must_not_run(p, q):
+    raise AssertionError("the exact remainder sequence was called")
+
+
+def test_a_common_factor_in_four_variables_is_found_by_evaluation(monkeypatch):
+    # The exact remainder sequence ran past a minute on this pair.  The GCD
+    # is x*f, not f, because the cofactors share x.
+    x, y, z, w = Polynomial.variables(4)
+    f = (
+        2 * x * y**3 * z**2 * w**3
+        - Fraction(3, 2) * x**2 * z**2 * w**3
+        + 2 * x**2 * y**3 * z * w
+    )
+    g = (
+        Fraction(1, 2) * x**3 * z**2 * w**3
+        + Fraction(2, 3) * x**3 * z**3 * w
+        + Fraction(2, 3) * x * y**3 * z * w
+        - 4 * x * y * z**3
+    )
+    h = -Fraction(3, 4) * x**3 * y * w**3 - 3 * x**2 * y**2 * z * w**2 - x * z**2 * w**3
+    # A call of the sequence fails the test at once instead of running on.
+    monkeypatch.setattr(poly, "_gcd_nonzero", _remainder_sequence_must_not_run)
+    evaluations = _counting(monkeypatch, "_gcd_by_evaluation")
+    result = poly_gcd(f * g, f * h)
+    assert result == _sympy_gcd([f * g, f * h])[0] == (x * f).monic()
+    assert len(evaluations) == 1
+
+
+def test_evaluation_keeps_the_integer_content_of_each_level(monkeypatch):
+    # At y = xi the members are the integers (3 xi - 2) * 3 xi^2 and
+    # (3 xi - 2) * -2, whose common content is the image of the factor: it
+    # must come back from the level below, or the candidate is 1.
+    x, y = Polynomial.variables(2)
+    p, q = 9 * y ** 3 - 6 * y ** 2, -6 * y + 4
+    remainder_sequences = _counting(monkeypatch, "_gcd_nonzero")
+    assert poly_gcd(p, q) == y - Fraction(2, 3)
+    assert remainder_sequences == []
+
+
+def test_a_candidate_below_the_degree_bounds_is_refused(monkeypatch):
+    # The candidate f1 divides both members but misses the factor f2, so its
+    # degrees fall short of the bounds and the remainder sequence answers.
+    x, y = Polynomial.variables(2)
+    f1, f2 = x + 2 * y + 1, x * y - 3
+    p, q = f1 * f2 * (x ** 2 + y), f1 * f2 * (y ** 2 - x + 5)
+    assert _gcd_degree_bounds([p, q]) == [2, 2]
+    monkeypatch.setattr(poly, "_heu_gcd", lambda family, m, budget: dict(f1._terms))
+    remainder_sequences = _counting(monkeypatch, "_gcd_nonzero")
+    assert _gcd_by_evaluation([p, q], [2, 2]) is None
+    assert poly_gcd(p, q) == (f1 * f2).monic()
+    assert remainder_sequences
 
 
 def _exact_gcd(family):
@@ -512,19 +612,22 @@ def test_gcd_agrees_with_the_exact_path(data):
 
 def test_certificate_falls_through_when_a_leading_coefficient_vanishes():
     # The x-coefficient y - 3 vanishes at the fixed value y = 3, so both
-    # images lose their x-degree and no image is kept.
+    # images lose their x-degree and no image is kept: there is no bound.
     x, y = Polynomial.variables(2)
     p, q = (y - 3) * x + 1, (y - 3) * x + 2
-    assert not _coprime_mod_p([p, q])
+    assert _gcd_degree_bounds([p, q]) is None
     assert poly_gcd(p, q) == 1
     assert poly_gcd_many([p, q]) == 1
 
 
 def test_certificate_falls_through_when_coprime_images_coincide():
     # At y = 3 both images in x are x - 9; in y they are 2 - y^2 and 2 - 3y.
+    # The bound 1 in x is not tight, so the evaluation's constant candidate
+    # is refused as well.
     x, y = Polynomial.variables(2)
     p, q = x - y ** 2, x - 3 * y
-    assert not _coprime_mod_p([p, q])
+    assert _gcd_degree_bounds([p, q]) == [1, 0]
+    assert _gcd_by_evaluation([p, q], [1, 0]) is None
     assert poly_gcd(p, q) == 1
     assert poly_gcd_many([p, q]) == 1
 
@@ -542,15 +645,10 @@ def _germ(degree, a, b):
 
 
 def test_coprime_inputs_never_reach_the_remainder_sequence(monkeypatch):
-    # Exact PRS took past 30 s on each of these; the certificate answers them.
-    calls = []
-    exact = poly._gcd_nonzero
-
-    def counted(p, q):
-        calls.append(p.nvars)
-        return exact(p, q)
-
-    monkeypatch.setattr(poly, "_gcd_nonzero", counted)
+    # Exact PRS took past 30 s on each of these; the degree bounds, all 0,
+    # answer them before the evaluation path or the sequence.
+    remainder_sequences = _counting(monkeypatch, "_gcd_nonzero")
+    evaluations = _counting(monkeypatch, "_gcd_by_evaluation")
     for degree in (20, 40):
         LocalFoliation(_germ(degree, 3, 5), _germ(degree, 7, 2))
     x, y, z = Polynomial.variables(3)
@@ -558,9 +656,9 @@ def test_coprime_inputs_never_reach_the_remainder_sequence(monkeypatch):
     cross = [v[(i + 1) % 3] * w[(i + 2) % 3] - v[(i + 2) % 3] * w[(i + 1) % 3] for i in range(3)]
     form = SymForm(2, 1, {(1, 0, 0): cross[0], (0, 1, 0): cross[1], (0, 0, 1): cross[2]})
     assert form.degree == 1200
-    assert calls == []
-    poly_gcd(x * y, x * z)
-    assert calls
+    assert evaluations == [] and remainder_sequences == []
+    assert poly_gcd(x * y, x * z) == x
+    assert len(evaluations) == 1 and remainder_sequences == []
 
 
 def test_each_content_is_computed_once_in_the_remainder_sequence(monkeypatch):

@@ -151,6 +151,24 @@ def test_restriction_matches_the_multi_index_expansion(form, p, q):
     assert _outcome(restrict_to_line, form, p, q) == _outcome(ref_restrict_to_line, form, p, q)
 
 
+def test_restriction_contracts_instead_of_pulling_back(monkeypatch):
+    # The symbol is contracted with q and composed once: no full pullback,
+    # and no division by (s dt - t ds)^k.
+    calls = []
+    pull, try_divide = forms._pull, Polynomial.try_divide
+    monkeypatch.setattr(forms, "_pull", lambda *args: calls.append("_pull") or pull(*args))
+    monkeypatch.setattr(
+        Polynomial, "try_divide", lambda *args: calls.append("try_divide") or try_divide(*args)
+    )
+    for form in FORMS:
+        n = form.ndiff
+        p, q = [1, 2, 3, 5][:n], [2, -1, 4, 1][:n]
+        calls.clear()
+        restricted = _outcome(restrict_to_line, form, p, q)
+        assert calls == []
+        assert restricted == _outcome(ref_restrict_to_line, form, p, q)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(FORMS), st.lists(small_fractions, min_size=16, max_size=16),
        st.lists(small_fractions, min_size=4, max_size=4), st.permutations(range(4)),
