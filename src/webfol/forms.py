@@ -531,7 +531,10 @@ def restrict_to_line(
     # Euler contraction of a SymForm vanishes, and so does that of its
     # pullback, which is therefore B (s dt - t ds)^k with B free of ds and
     # dt; dividing by (s dt - t ds)^k and looking for surviving differentials
-    # could never fail, so neither is done.
+    # could never fail, so neither is done.  By the same argument s^k always
+    # divides W(s p + t q, q): the divisibility refusal below is a defensive
+    # check that cannot fire, kept so that a broken invariant raises the
+    # documented error rather than shift_down's InputError.
     contracted = _dot(
         list(form.coeffs.values()), [math.prod(map(pow, q, J)) for J in form.coeffs], n
     )

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, itemgetter, sub
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import InputError
@@ -693,23 +693,13 @@ def _gcd_degree_bounds(polys: list[Polynomial]) -> Optional[list[int]]:
 def _gcd_by_evaluation(polys: list[Polynomial], bounds: list[int]) -> Optional[Polynomial]:
     """The monic GCD of nonzero polynomials when evaluation finds it, or None.
 
-    The monomial content (each variable's least exponent over all members)
-    is taken out first and put back at the end, so that no power of a
-    variable turns into an integer factor of the evaluation point.  The
-    candidate from ``_heu_gcd`` divides every member; it is kept only when
-    its degree in each variable equals the bound, which makes it the GCD.
+    The candidate from ``_heu_gcd`` divides every member; it is kept only
+    when its degree in each variable equals the bound, which makes it the
+    GCD.
     """
     n = polys[0].nvars
-    shift = [min(e[i] for f in polys for e in f._terms) for i in range(n)]
-    family = [f._terms for f in polys]
-    if any(shift):
-        family = [{tuple(map(sub, e, shift)): v for e, v in f.items()} for f in family]
-    ints = _heu_gcd(family, n, [_HEU_TRIES * n])
-    if ints is None:
-        return None
-    if any(shift):
-        ints = {tuple(map(add, e, shift)): v for e, v in ints.items()}
-    if list(map(max, zip(*ints))) != bounds:
+    ints = _heu_gcd([f._terms for f in polys], n, [_HEU_TRIES * n])
+    if ints is None or list(map(max, zip(*ints))) != bounds:
         return None
     return _make(n, ints, _ONE).monic()
 
