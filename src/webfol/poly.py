@@ -1,10 +1,11 @@
 """Exact sparse multivariate polynomials over the rationals.
 
 A polynomial in ``nvars`` variables is stored as one positive rational
-content times a primitive integer polynomial: a finite map from exponent
-tuples to nonzero ``int`` coefficients whose gcd is 1.
+content times a primitive integer polynomial: a finite map from packed
+monomials (one ``int`` each, below) to nonzero ``int`` coefficients whose
+gcd is 1.
 
-    3/2*x0^2*x1 - 3  ->  content Fraction(3, 2), {(2, 1): 1, (0, 0): -2}
+    3/2*x0^2*x1 - 3  ->  content Fraction(3, 2), {key(2, 1): 1, key(0, 0): -2}
 
 This form is unique (the zero polynomial is the empty map with content 1),
 so identity of polynomials is literal equality of variable count, content
@@ -21,33 +22,92 @@ with x0 < x1 < ... (compare total degree first, then the exponent vector
 read from the last variable down).  Serialisation lists terms in descending
 canonical order with numerators and denominators as decimal strings, so
 files survive any integer size.
+
+Monomials are graded packed exponent vectors (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007).  In n variables, with fields of W = 32 bits, x^e is
+
+    key(e) = deg << (n*W) | e_{n-1} << ((n-1)*W) | ... | e_1 << W | e_0
+
+with the total degree deg = sum(e) in the top field.  Integer order of keys
+is the canonical order, so sorts and leading terms compare plain ints, and
+the product of two monomials is the sum of their keys.  Every exponent and
+every total degree stays below the ceiling 2^31: the constructor refuses
+more, and products, powers, compositions and ``_join`` check the degree of
+their result from the top fields before any work, with the
+``degree_too_large`` code.  So no field carries into the next, and with G
+holding bit 31 of every field, x^d divides x^r exactly when
+((r | G) - d) & G == G.  Exponent tuples appear only at the edges: the
+constructor, ``monomial``, ``coefficient``, ``terms``, ``leading_term``,
+``evaluate``, rendering, JSON, the hash, and the tail multi-indices of
+``_split`` and ``_join``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from fractions import Fraction
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import InputError
+from .errors import InputError, ValidationError
 
 Exponent = tuple[int, ...]
 Scalar = Union[Fraction, int]
 
 _ONE = Fraction(1)
 
+# Bits per packed exponent field, the field mask, and the degree ceiling.
+_W = 32
+_FIELD = (1 << _W) - 1
+_CEILING = 1 << (_W - 1)
 
-def grlex_key(exponents: Exponent) -> tuple[int, Exponent]:
-    """Sort key realising the canonical graded-lex order (larger = leading)."""
-    return (sum(exponents), exponents[::-1])
+
+@functools.lru_cache(maxsize=None)
+def _codec(n: int) -> tuple[struct.Struct, struct.Struct]:
+    """Byte layouts of a key in n variables: the n exponents alone, and all n + 1 fields."""
+    return struct.Struct(f"<{n}I4x"), struct.Struct(f"<{n + 1}I")
+
+
+def _pack(n: int, exp: Sequence[int]) -> int:
+    """The key of a checked exponent vector (entries and sum below the ceiling)."""
+    return int.from_bytes(_codec(n)[1].pack(*exp, sum(exp)), "little")
+
+
+def _unpack(n: int, key: int) -> Exponent:
+    return _codec(n)[0].unpack(key.to_bytes(4 * n + 4, "little"))
+
+
+def _guards(n: int) -> int:
+    """Bit W - 1 of each of the n + 1 fields of a key."""
+    return ((1 << (_W * (n + 1))) - 1) // _FIELD << (_W - 1)
+
+
+def _divides(d: int, r: int, guards: int) -> bool:
+    """Whether the monomial with key d divides the one with key r.
+
+    Each field of r | guards is at least 2^31 > d's field, so the difference
+    never borrows across fields, and a field keeps its guard bit exactly when
+    r's exponent is at least d's.
+    """
+    return ((r | guards) - d) & guards == guards
+
+
+def _check_degree(degree: int) -> None:
+    if degree >= _CEILING:
+        raise ValidationError(
+            "degree_too_large", f"degree {degree} is not below the ceiling 2^31"
+        )
 
 
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients.
 
-    ``_terms`` maps exponents to nonzero ints with gcd 1 and ``_c`` is the
-    positive ``Fraction`` content; the value is ``_c * sum(v * x^e)``.
+    ``_terms`` maps packed monomial keys to nonzero ints with gcd 1 and
+    ``_c`` is the positive ``Fraction`` content; the value is
+    ``_c * sum(v * x^e)``.
     """
 
     __slots__ = ("nvars", "_terms", "_c", "_hash")
@@ -55,14 +115,17 @@ class Polynomial:
     def __init__(self, nvars: int, terms: Optional[Mapping[Exponent, Scalar]] = None):
         if not isinstance(nvars, int) or nvars < 1:
             raise InputError(f"nvars must be a positive integer, got {nvars!r}")
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[int, Fraction] = {}
+        pack = _codec(nvars)[1].pack
         for exp, coeff in (terms or {}).items():
             exp = tuple(int(e) for e in exp)
             if len(exp) != nvars or any(e < 0 for e in exp):
                 raise InputError(f"bad exponent vector {exp} for nvars={nvars}")
+            degree = sum(exp)
+            _check_degree(degree)
             c = Fraction(coeff)
             if c:
-                clean[exp] = c
+                clean[int.from_bytes(pack(*exp, degree), "little")] = c
         den = math.lcm(*(c.denominator for c in clean.values()))
         ints = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
         g = math.gcd(*ints.values())
@@ -90,9 +153,7 @@ class Polynomial:
     def variable(cls, nvars: int, index: int) -> "Polynomial":
         if not 0 <= index < nvars:
             raise InputError(f"variable index {index} out of range for nvars={nvars}")
-        exp = [0] * nvars
-        exp[index] = 1
-        return _make(nvars, {tuple(exp): 1}, _ONE)
+        return _make(nvars, {1 << (index * _W) | 1 << (nvars * _W): 1}, _ONE)
 
     @classmethod
     def monomial(cls, nvars: int, exp: Exponent, coeff: Scalar = 1) -> "Polynomial":
@@ -111,37 +172,37 @@ class Polynomial:
 
     def terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in descending canonical order (leading term first)."""
-        c = self._c
-        return sorted(
-            ((e, c * v) for e, v in self._terms.items()),
-            key=lambda t: grlex_key(t[0]),
-            reverse=True,
-        )
+        n, c, terms = self.nvars, self._c, self._terms
+        return [(_unpack(n, k), c * terms[k]) for k in sorted(terms, reverse=True)]
 
     def coefficient(self, exp: Exponent) -> Fraction:
-        return self._c * self._terms.get(tuple(exp), 0)
+        exp = tuple(exp)
+        if len(exp) != self.nvars or min(exp, default=0) < 0 or sum(exp) >= _CEILING:
+            return Fraction(0)
+        return self._c * self._terms.get(_pack(self.nvars, exp), 0)
 
     def leading_term(self) -> tuple[Exponent, Fraction]:
         if self.is_zero:
             raise InputError("zero polynomial has no leading term")
-        exp = max(self._terms, key=grlex_key)
-        return exp, self._c * self._terms[exp]
+        key = max(self._terms)
+        return _unpack(self.nvars, key), self._c * self._terms[key]
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if self.is_zero:
             return -1
-        return max(sum(e) for e in self._terms)
+        return max(self._terms) >> (self.nvars * _W)
 
     def is_homogeneous(self) -> bool:
         """Whether all terms share one total degree (vacuously true for 0)."""
-        degrees = {sum(e) for e in self._terms}
-        return len(degrees) <= 1
+        shift = self.nvars * _W
+        return len({k >> shift for k in self._terms}) <= 1
 
     def homogeneous_degree(self) -> int:
         if self.is_zero:
             raise InputError("zero polynomial has no homogeneous degree")
-        degrees = {sum(e) for e in self._terms}
+        shift = self.nvars * _W
+        degrees = {k >> shift for k in self._terms}
         if len(degrees) != 1:
             raise InputError("polynomial is not homogeneous")
         return degrees.pop()
@@ -152,7 +213,8 @@ class Polynomial:
             raise InputError(f"variable index {index} out of range")
         if self.is_zero:
             raise InputError("zero polynomial has no finite variable order")
-        return min(e[index] for e in self._terms)
+        shift = index * _W
+        return min(k >> shift & _FIELD for k in self._terms)
 
     # -- equality and hashing ------------------------------------------------
 
@@ -169,8 +231,8 @@ class Polynomial:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            c = self._c
-            h = hash((self.nvars, frozenset((e, c * v) for e, v in self._terms.items())))
+            n, c = self.nvars, self._c
+            h = hash((n, frozenset((_unpack(n, k), c * v) for k, v in self._terms.items())))
             object.__setattr__(self, "_hash", h)
         return self._hash
 
@@ -222,6 +284,8 @@ class Polynomial:
             return NotImplemented
         if not self._terms or not other._terms:
             return _make(self.nvars, {}, _ONE)
+        top = self.nvars * _W
+        _check_degree((max(self._terms) >> top) + (max(other._terms) >> top))
         # Gauss's lemma: the product of primitive polynomials is primitive.
         return _make(self.nvars, _mul_ints(self._terms, other._terms), self._c * other._c)
 
@@ -230,7 +294,8 @@ class Polynomial:
     def __pow__(self, power: int) -> "Polynomial":
         if not isinstance(power, int) or power < 0:
             raise InputError(f"polynomial power must be a non-negative int, got {power!r}")
-        result = _make(self.nvars, {(0,) * self.nvars: 1}, _ONE)
+        _check_degree(self.degree() * power)
+        result = _make(self.nvars, {0: 1}, _ONE)
         base = self
         while power:
             if power & 1:
@@ -246,14 +311,13 @@ class Polynomial:
         """Exact partial derivative with respect to the given variable."""
         if not 0 <= index < self.nvars:
             raise InputError(f"variable index {index} out of range for nvars={self.nvars}")
-        out: dict[Exponent, int] = {}
-        for exp, v in self._terms.items():
-            e = exp[index]
-            if e == 0:
-                continue
-            new = list(exp)
-            new[index] = e - 1
-            out[tuple(new)] = v * e
+        shift = index * _W
+        step = 1 << shift | 1 << (self.nvars * _W)
+        out: dict[int, int] = {}
+        for k, v in self._terms.items():
+            e = k >> shift & _FIELD
+            if e:
+                out[k - step] = v * e
         return _primitive(self.nvars, out, self._c)
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
@@ -266,8 +330,8 @@ class Polynomial:
         # Integral coordinates (the sample schedule's) are powered as ints.
         values = [v.numerator if v.denominator == 1 else v for v in values]
         total = 0
-        for exp, term in self._terms.items():
-            for e, v in zip(exp, values):
+        for k, term in self._terms.items():
+            for e, v in zip(_unpack(self.nvars, k), values):
                 if e:
                     term *= v ** e
             total += term
@@ -290,24 +354,27 @@ class Polynomial:
         # s_i = c_i * S_i.  With c_i = a_i/b_i and E_i the largest exponent
         # of x_i, the scalars are the ints v * prod a_i^e_i * b_i^(E_i - e_i)
         # over den = prod b_i^E_i, so the sum runs in ints and is normalised
-        # once.  Powers of each S_i are cached as they are needed.
-        one = {(0,) * target: 1}
-        powers: list[list[dict[Exponent, int]]] = [[one] for _ in substitutions]
+        # once.  Powers of each S_i are cached as they are needed.  The result
+        # has degree at most deg(self) * max deg(S_i), checked first.
+        _check_degree(self.degree() * max(map(Polynomial.degree, substitutions)))
+        one = {0: 1}
+        powers: list[list[dict[int, int]]] = [[one] for _ in substitutions]
 
-        def power(i: int, e: int) -> dict[Exponent, int]:
+        def power(i: int, e: int) -> dict[int, int]:
             cache = powers[i]
             while len(cache) <= e:
                 cache.append(_mul_ints(cache[-1], substitutions[i]._terms))
             return cache[e]
 
-        den, weights = 1, self._terms.items()
+        unpack, size = _codec(self.nvars)[0].unpack, 4 * self.nvars + 4
+        den, weights = 1, [(unpack(k.to_bytes(size, "little")), v) for k, v in self._terms.items()]
         for i, s in enumerate(substitutions):
-            if s._c != 1 and self._terms:
+            if s._c != 1 and weights:
                 a, b = s._c.numerator, s._c.denominator
-                top = max(exp[i] for exp in self._terms)
+                top = max(exp[i] for exp, _ in weights)
                 den *= b ** top
                 weights = [(exp, v * a ** exp[i] * b ** (top - exp[i])) for exp, v in weights]
-        total: dict[Exponent, int] = {}
+        total: dict[int, int] = {}
         get = total.get
         for exp, k in weights:
             factors = [power(i, e) for i, e in enumerate(exp) if e] or [one]
@@ -318,7 +385,7 @@ class Polynomial:
             for ea, va in head.items():
                 va *= k
                 for eb, vb in last.items():
-                    e = tuple(map(add, ea, eb))
+                    e = ea + eb
                     total[e] = get(e, 0) + va * vb
         return _primitive(target, {e: v for e, v in total.items() if v}, self._c / den)
 
@@ -335,22 +402,23 @@ class Polynomial:
         # exact quotient of primitive polynomials is itself integral, so a
         # leading coefficient that does not divide means "not divisible".
         dterms = divisor._terms
-        dexp = max(dterms, key=grlex_key)
+        dexp = max(dterms)
         dcoeff = dterms[dexp]
-        quotient: dict[Exponent, int] = {}
+        guards = _guards(self.nvars)
+        quotient: dict[int, int] = {}
         remainder = dict(self._terms)
         while remainder:
-            rexp = max(remainder, key=grlex_key)
-            step = tuple(a - b for a, b in zip(rexp, dexp))
-            if any(e < 0 for e in step):
+            rexp = max(remainder)
+            if not _divides(dexp, rexp, guards):
                 return None
             q, r = divmod(remainder[rexp], dcoeff)
             if r:
                 return None
+            step = rexp - dexp
             quotient[step] = q
             get = remainder.get
             for e, v in dterms.items():
-                e = tuple(map(add, e, step))
+                e += step
                 v = get(e, 0) - q * v
                 if v:
                     remainder[e] = v
@@ -366,32 +434,32 @@ class Polynomial:
             return self
         if self.x_order(index) < amount:
             raise InputError(f"x_{index}^{amount} does not divide the polynomial")
-        out = {}
-        for exp, v in self._terms.items():
-            new = list(exp)
-            new[index] -= amount
-            out[tuple(new)] = v
-        return _make(self.nvars, out, self._c)
+        step = amount << (index * _W) | amount << (self.nvars * _W)
+        return _make(self.nvars, {k - step: v for k, v in self._terms.items()}, self._c)
 
     def monic(self) -> "Polynomial":
         """Scale so the leading coefficient in canonical order is 1."""
         if self.is_zero:
             return self
-        lead = self._terms[max(self._terms, key=grlex_key)]
+        lead = self._terms[max(self._terms)]
         terms = self._terms if lead > 0 else _negated(self._terms)
         return _make(self.nvars, terms, Fraction(1, abs(lead)))
 
     # -- serialisation ------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        # Term v*a/b (content a/b in lowest terms) reduces by g = gcd(v, b).
-        a, b = self._c.numerator, self._c.denominator
+        # Term v*a/b (content a/b in lowest terms) reduces by g = gcd(v, b),
+        # which is 1 for an integer content.
+        n, a, b = self.nvars, self._c.numerator, self._c.denominator
+        unpack, size = _codec(n)[0].unpack, 4 * n + 4
+        items = self._terms
         terms = []
-        for exp in sorted(self._terms, key=grlex_key, reverse=True):
-            v = self._terms[exp]
-            g = math.gcd(v, b)
-            terms.append({"exp": list(exp), "num": str(v // g * a), "den": str(b // g)})
-        return {"nvars": self.nvars, "terms": terms}
+        for k in sorted(items, reverse=True):
+            v = items[k]
+            g = math.gcd(v, b) if b != 1 else 1
+            exp = list(unpack(k.to_bytes(size, "little")))
+            terms.append({"exp": exp, "num": str(v // g * a), "den": str(b // g)})
+        return {"nvars": n, "terms": terms}
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Polynomial":
@@ -449,11 +517,11 @@ def _default_names(nvars: int) -> list[str]:
 # -- trusted construction ----------------------------------------------------------
 #
 # The helpers below build results of ring operations without re-validating:
-# callers guarantee exponent tuples of length ``nvars``, nonzero int values,
+# callers guarantee keys of ``nvars`` variables, nonzero int values,
 # a positive Fraction content, and content 1 for the empty map.
 
 
-def _make(nvars: int, ints: dict[Exponent, int], content: Fraction) -> Polynomial:
+def _make(nvars: int, ints: dict[int, int], content: Fraction) -> Polynomial:
     """A polynomial from a primitive int map and its content, unchecked."""
     p = object.__new__(Polynomial)
     object.__setattr__(p, "nvars", nvars)
@@ -463,7 +531,7 @@ def _make(nvars: int, ints: dict[Exponent, int], content: Fraction) -> Polynomia
     return p
 
 
-def _primitive(nvars: int, ints: dict[Exponent, int], scale: Fraction) -> Polynomial:
+def _primitive(nvars: int, ints: dict[int, int], scale: Fraction) -> Polynomial:
     """``scale`` times a map of nonzero ints, with their gcd moved into the content."""
     if not ints:
         return _make(nvars, {}, _ONE)
@@ -476,21 +544,21 @@ def _primitive(nvars: int, ints: dict[Exponent, int], scale: Fraction) -> Polyno
 def _constant(nvars: int, value: Scalar) -> Polynomial:
     if not value:
         return _make(nvars, {}, _ONE)
-    return _make(nvars, {(0,) * nvars: 1 if value > 0 else -1}, Fraction(abs(value)))
+    return _make(nvars, {0: 1 if value > 0 else -1}, Fraction(abs(value)))
 
 
-def _negated(ints: dict[Exponent, int]) -> dict[Exponent, int]:
+def _negated(ints: dict[int, int]) -> dict[int, int]:
     return {e: -v for e, v in ints.items()}
 
 
-def _mul_ints(a: dict[Exponent, int], b: dict[Exponent, int]) -> dict[Exponent, int]:
+def _mul_ints(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """Product of two int term maps, cancelled terms dropped."""
-    out: dict[Exponent, int] = {}
+    out: dict[int, int] = {}
     get = out.get
     items = list(b.items())
     for ea, va in a.items():
         for eb, vb in items:
-            e = tuple(map(add, ea, eb))
+            e = ea + eb
             out[e] = get(e, 0) + va * vb
     return {e: v for e, v in out.items() if v}
 
@@ -500,44 +568,76 @@ def _relabel(p: Polynomial, images: Sequence[int], signs: Sequence[int]) -> Poly
 
     Each term goes to one term, so nothing is expanded: v*x^e becomes v times
     the monomial with permuted exponents, negated when the flipped variables
-    have odd total degree in x^e.  The int map only changes signs, so it stays
-    primitive and the content is kept.
+    have odd total degree in x^e, that is when an odd number of them has an
+    odd exponent: the parity of the low bits of their fields.  The int map
+    only changes signs, so it stays primitive and the content is kept.
     """
     n = p.nvars
     sources = [0] * n
     for i, j in enumerate(images):
         sources[j] = i
-    move = itemgetter(*sources) if n > 1 else tuple
-    flips = [i for i, s in enumerate(signs) if s == -1]
-    terms = {move(e): -v if sum(e[i] for i in flips) & 1 else v for e, v in p._terms.items()}
+    # The degree field (index n) stays in place.
+    move = itemgetter(*sources, n)
+    parity = sum(1 << (i * _W) for i, s in enumerate(signs) if s == -1)
+    full = _codec(n)[1]
+    unpack, pack, size = full.unpack, full.pack, 4 * n + 4
+    terms = {
+        int.from_bytes(pack(*move(unpack(k.to_bytes(size, "little")))), "little"):
+        -v if (k & parity).bit_count() & 1 else v
+        for k, v in p._terms.items()
+    }
     return _make(n, terms, p._c)
 
 
 def _split(p: Polynomial, m: int) -> dict[Exponent, Polynomial]:
-    """p = sum_t C_t * x_tail^t as {t: C_t}, each C_t in the first m variables."""
-    groups: dict[Exponent, dict[Exponent, int]] = {}
-    for e, v in p._terms.items():
-        groups.setdefault(e[m:], {})[e[:m]] = v
-    return {t: _primitive(m, terms, p._c) for t, terms in groups.items()}
+    """p = sum_t C_t * x_tail^t as {t: C_t}, each C_t in the first m variables.
+
+    A key's tail is its fields m .. n-1, and its head keeps the first m fields
+    under the head degree, the total minus the tail's.  The tail's fields sum
+    to less than 2^31 < 2^W - 1, so that sum is the tail modulo 2^W - 1.
+    """
+    n = p.nvars
+    head, top = m * _W, n * _W
+    low, tails = (1 << head) - 1, (1 << (top - head)) - 1
+    groups: dict[int, dict[int, int]] = {}
+    for k, v in p._terms.items():
+        groups.setdefault(k >> head & tails, {})[k] = v
+    parts = {}
+    for t, terms in groups.items():
+        td = t % _FIELD
+        ints = {k & low | ((k >> top) - td) << head: v for k, v in terms.items()}
+        parts[_unpack(n - m, t)] = _primitive(m, ints, p._c)
+    return parts
 
 
 def _join(parts: Mapping[Exponent, Polynomial], nvars: int) -> Polynomial:
-    """sum_t C_t * x_tail^t in nvars variables, the inverse of ``_split``; zero parts are skipped."""
-    if len(parts) == 1:
-        ((t, C),) = parts.items()
-        return _make(nvars, {e + t: v for e, v in C._terms.items()}, C._c)
+    """sum_t C_t * x_tail^t in nvars variables, the inverse of ``_split``; zero parts are skipped.
+
+    A key of C_t keeps its m fields, its degree moves up to the top field,
+    and the tail's fields and degree are added.
+    """
     parts = [(t, C) for t, C in parts.items() if C._terms]
     if not parts:
         return _make(nvars, {}, _ONE)
+    m = nvars - len(parts[0][0])
+    head, top = m * _W, nvars * _W
+    low = (1 << head) - 1
+    moved = []
+    for t, C in parts:
+        _check_degree(C.degree() + sum(t))
+        s = sum(e << (j * _W) for j, e in enumerate(t)) << head | sum(t) << top
+        moved.append({(k & low | (k >> head) << top) + s: v for k, v in C._terms.items()})
+    if len(parts) == 1:
+        return _make(nvars, moved[0], parts[0][1]._c)
     # Each part is c_t * P_t with P_t primitive; c_t = g * w_t / den with
     # coprime ints w_t makes sum_t w_t * P_t * x_tail^t primitive.
     den = math.lcm(*(C._c.denominator for _, C in parts))
     nums = [C._c.numerator * (den // C._c.denominator) for _, C in parts]
     g = math.gcd(*nums)
-    terms: dict[Exponent, int] = {}
-    for (t, C), w in zip(parts, nums):
+    terms: dict[int, int] = {}
+    for ints, w in zip(moved, nums):
         w //= g
-        terms.update({e + t: w * v for e, v in C._terms.items()})
+        terms.update({k: w * v for k, v in ints.items()})
     return _make(nvars, terms, Fraction(g, den))
 
 
@@ -664,17 +764,19 @@ def _gcd_degree_bounds(polys: list[Polynomial]) -> Optional[list[int]]:
     0.  When no member keeps its degree in some variable there is no bound
     (None).
     """
-    p = _PRIME
-    degrees = [list(map(max, zip(*f._terms))) for f in polys]
+    p, n = _PRIME, polys[0].nvars
+    unpack, size = _codec(n)[0].unpack, 4 * n + 4
+    members = [[(unpack(k.to_bytes(size, "little")), v) for k, v in f._terms.items()] for f in polys]
+    degrees = [list(map(max, zip(*(e for e, _ in terms)))) for terms in members]
     bounds = []
-    for i in range(polys[0].nvars):
+    for i in range(n):
         if not min(d[i] for d in degrees):
             bounds.append(0)
             continue
         gcd, kept = [], False
-        for f, d in zip(polys, degrees):
+        for terms, d in zip(members, degrees):
             image = [0] * (d[i] + 1)
-            for exp, v in f._terms.items():
+            for exp, v in terms:
                 for j, e in enumerate(exp):
                     if e and j != i:
                         v *= pow(j + 2, e, p)
@@ -699,14 +801,14 @@ def _gcd_by_evaluation(polys: list[Polynomial], bounds: list[int]) -> Optional[P
     """
     n = polys[0].nvars
     ints = _heu_gcd([f._terms for f in polys], n, [_HEU_TRIES * n])
-    if ints is None or list(map(max, zip(*ints))) != bounds:
+    if ints is None or list(map(max, zip(*(_unpack(n, k) for k in ints)))) != bounds:
         return None
     return _make(n, ints, _ONE).monic()
 
 
 def _heu_gcd(
-    family: list[dict[Exponent, int]], m: int, budget: list[int]
-) -> Optional[dict[Exponent, int]]:
+    family: list[dict[int, int]], m: int, budget: list[int]
+) -> Optional[dict[int, int]]:
     """A GCD in Z[x_0..x_{m-1}] of nonzero int maps that divides every member, or None.
 
     Takes out the integer content c of the family, evaluates the last
@@ -717,7 +819,7 @@ def _heu_gcd(
     ``budget[0]`` evaluations in all.  A failure below returns None at once.
     """
     if m == 0:
-        return {(): math.gcd(*(f[()] for f in family))}
+        return {0: math.gcd(*(f[0] for f in family))}
     c = math.gcd(*(v for f in family for v in f.values()))
     if c > 1:
         family = [{e: v // c for e, v in f.items()} for f in family]
@@ -727,12 +829,12 @@ def _heu_gcd(
         if budget[0] <= 0:
             return None
         budget[0] -= 1
-        evaluated = [_evaluate_last(f, xi) for f in family]
+        evaluated = [_evaluate_last(f, m, xi) for f in family]
         if all(evaluated):
             inner = _heu_gcd(evaluated, m - 1, budget)
             if inner is None:
                 return None
-            candidate = _primitive(m, _xi_adic(inner, xi), _ONE)
+            candidate = _primitive(m, _xi_adic(inner, m, xi), _ONE)
             # A constant candidate is +-1, being primitive, and divides every member.
             if candidate.degree() == 0 or all(f.try_divide(candidate) is not None for f in members):
                 return {e: c * v for e, v in candidate._terms.items()}
@@ -740,23 +842,33 @@ def _heu_gcd(
     return None
 
 
-def _evaluate_last(f: dict[Exponent, int], xi: int) -> dict[Exponent, int]:
-    """The int map f with its last variable set to xi, cancelled terms dropped."""
-    out: dict[Exponent, int] = {}
+def _evaluate_last(f: dict[int, int], m: int, xi: int) -> dict[int, int]:
+    """The int map f in m variables with its last one set to xi, cancelled terms dropped.
+
+    A key keeps its first m - 1 fields under the degree less the last exponent.
+    """
+    last, top = (m - 1) * _W, m * _W
+    low = (1 << last) - 1
+    out: dict[int, int] = {}
     get = out.get
-    for e, v in f.items():
-        head = e[:-1]
-        out[head] = get(head, 0) + v * xi ** e[-1]
+    for k, v in f.items():
+        e = k >> last & _FIELD
+        head = k & low | ((k >> top) - e) << last
+        out[head] = get(head, 0) + v * xi ** e
     return {e: v for e, v in out.items() if v}
 
 
-def _xi_adic(h: dict[Exponent, int], xi: int) -> dict[Exponent, int]:
-    """sum_k D_k x_last^k, where D_k holds the k-th balanced xi-adic digit of each coefficient of h.
+def _xi_adic(h: dict[int, int], m: int, xi: int) -> dict[int, int]:
+    """sum_k D_k x_last^k in m variables, where D_k holds the k-th balanced xi-adic digit of each coefficient of h.
 
-    Its value at x_last = xi is h.
+    Its value at x_last = xi is h.  A key of h keeps its m - 1 fields, its
+    degree moves up to the top field, and x_last^k adds k to both.
     """
-    out: dict[Exponent, int] = {}
-    half, k = xi // 2, 0
+    last, top = (m - 1) * _W, m * _W
+    low, step = (1 << last) - 1, 1 << last | 1 << top
+    out: dict[int, int] = {}
+    half = xi // 2
+    h = {k & low | (k >> last) << top: v for k, v in h.items()}
     while h:
         rest = {}
         for e, v in h.items():
@@ -764,11 +876,11 @@ def _xi_adic(h: dict[Exponent, int], xi: int) -> dict[Exponent, int]:
             if digit > half:
                 digit -= xi
             if digit:
-                out[e + (k,)] = digit
+                out[e] = digit
             v = (v - digit) // xi
             if v:
-                rest[e] = v
-        h, k = rest, k + 1
+                rest[e + step] = v
+        h = rest
     return out
 
 
@@ -791,7 +903,8 @@ def _gcd_mod_p(a: list[int], b: list[int]) -> list[int]:
 def _deg_last(p: Polynomial) -> int:
     if p.is_zero:
         return -1
-    return max(e[-1] for e in p._terms)
+    last = (p.nvars - 1) * _W
+    return max(k >> last & _FIELD for k in p._terms)
 
 
 def _lift_last(p: Polynomial) -> Polynomial:
@@ -801,9 +914,11 @@ def _lift_last(p: Polynomial) -> Polynomial:
 
 def _lc_last(p: Polynomial, last_degree: int = 0) -> Polynomial:
     """Leading coefficient with respect to the last variable, lifted to nvars."""
-    d = _deg_last(p)
-    out = {exp[:-1] + (last_degree,): v for exp, v in p._terms.items() if exp[-1] == d}
-    return _primitive(p.nvars, out, p._c)
+    n, d = p.nvars, _deg_last(p)
+    last = (n - 1) * _W
+    drop = (d - last_degree) * (1 << last | 1 << (n * _W))
+    out = {k - drop: v for k, v in p._terms.items() if k >> last & _FIELD == d}
+    return _primitive(n, out, p._c)
 
 
 def _content_last(p: Polynomial) -> Polynomial:
@@ -853,11 +968,11 @@ def _gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
             aexp = max(a)
             if aexp < bexp:
                 break
-            la, shift = a[aexp], aexp[0] - bexp[0]
+            la, shift = a[aexp], aexp - bexp
             out = {e: lb * v for e, v in a.items()}
             get = out.get
-            for (e,), v in b.items():
-                e = (e + shift,)
+            for e, v in b.items():
+                e += shift
                 out[e] = get(e, 0) - la * v
             a = {e: v for e, v in out.items() if v}
             if a:

@@ -238,6 +238,37 @@ def chart_consistency_holds(result) -> bool:
     return unit is not None and len(unit.terms()) == 1
 
 
+# -- the packed monomial layout, restated apart from webfol.poly -----------------
+#
+# In n variables, x^e is the key sum(e) << (32 n) | e_{n-1} << (32 (n-1)) | ...
+# | e_0, every field below 2^31; its integer order must be ``grlex_key``'s.
+
+FIELD_BITS = 32
+CEILING = 1 << 31
+
+
+def grlex_key(exponents: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Sort key realising the canonical graded-lex order (larger = leading)."""
+    return (sum(exponents), exponents[::-1])
+
+
+def ref_pack(exponents) -> int:
+    key = sum(exponents) << (FIELD_BITS * len(exponents))
+    for i, e in enumerate(exponents):
+        key |= e << (FIELD_BITS * i)
+    return key
+
+
+def ref_unpack(key: int, n: int) -> tuple[int, ...]:
+    mask = (1 << FIELD_BITS) - 1
+    return tuple(key >> (FIELD_BITS * i) & mask for i in range(n))
+
+
+def unpacked_terms(poly: Polynomial) -> dict[tuple[int, ...], int]:
+    """The primitive int terms of a polynomial keyed by exponent vectors."""
+    return {ref_unpack(k, poly.nvars): v for k, v in poly._terms.items()}
+
+
 # -- a plain reference kernel: polynomials as dict[exponent, Fraction] -----------
 #
 # Written apart from webfol.poly, term by term over Fractions, so the kernel's
@@ -291,7 +322,7 @@ def ref_compose(p, substitutions, target_nvars):
 
 
 def _ref_lead(p):
-    exp = max(p, key=lambda e: (sum(e), tuple(reversed(e))))
+    exp = max(p, key=grlex_key)
     return exp, p[exp]
 
 
@@ -311,9 +342,16 @@ def ref_try_divide(p, d):
 
 
 def kernel_invariants_hold(poly: Polynomial) -> bool:
-    """Positive content, nonzero coprime int terms, and the old hash value."""
+    """Positive content, nonzero coprime int terms, well-formed keys, and the old hash value.
+
+    A key is well formed when it is the packed form of its exponent fields:
+    its top field is their sum, below the ceiling, and nothing lies above it.
+    """
     import math
 
+    n = poly.nvars
+    if any(k != ref_pack(ref_unpack(k, n)) or k >> (FIELD_BITS * n) >= CEILING for k in poly._terms):
+        return False
     values = list(poly._terms.values())
     if not isinstance(poly._c, Fraction) or poly._c <= 0:
         return False
@@ -422,7 +460,7 @@ def tensor_invariants_hold(tensor: SymTensor) -> bool:
     m = W.nvars - n
     if not kernel_invariants_hold(W) or not (W._terms or m == n):
         return False
-    if any(sum(e[m:]) != tensor.k for e in W._terms):
+    if any(sum(e[m:]) != tensor.k for e in unpacked_terms(W)):
         return False
     return {p.nvars for p in tensor.coeffs.values()} <= {m} and all(
         len(I) == n and min(I) >= 0 and sum(I) == tensor.k

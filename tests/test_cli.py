@@ -152,6 +152,27 @@ def test_invariant_violations_are_named(tmp_path):
     assert json.loads(r2.stdout)["error"] == "coefficient_degree_mismatch"
 
 
+def test_degrees_past_the_ceiling_exit_two_with_their_code(tmp_path):
+    # An exponent of 10^10, or a differential order k of 2^31, is refused as
+    # the input is read, with no traceback.
+    def x_dx(e, k):
+        term = {"exp": [0, e, 0], "num": "1", "den": "1"}
+        return {"N": 2, "k": k, "coeffs": [{"dmono": [k, 0, 0], "poly": {"nvars": 3, "terms": [term]}}]}
+
+    local = {
+        "a": {"nvars": 2, "terms": [{"exp": [0, 10 ** 10], "num": "1", "den": "1"}]},
+        "b": {"nvars": 2, "terms": [{"exp": [1, 0], "num": "1", "den": "1"}]},
+    }
+    cases = [("--form", x_dx(10 ** 10, 1)), ("--form", x_dx(1, 2 ** 31)), ("--local", local)]
+    for i, (option, document) in enumerate(cases):
+        path = tmp_path / f"huge{i}.json"
+        path.write_text(json.dumps(document))
+        r = run_cli("validate", option, str(path))
+        assert r.returncode == 2, r.stdout
+        assert json.loads(r.stdout)["error"] == "degree_too_large"
+        assert r.stderr == ""
+
+
 def test_singular_sample_point_exits_three():
     r = run_cli("hij", "--form", fx("radial.json"), "--points", "0,0,1")
     assert r.returncode == 3

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from webfol.errors import InputError
+from webfol.errors import InputError, ValidationError
 from webfol import poly
 from webfol.blowup import LocalFoliation
 from webfol.forms import SymForm
@@ -27,14 +27,18 @@ from webfol.poly import (
 )
 
 from helpers import (
+    CEILING,
+    grlex_key,
     kernel_invariants_hold,
     ref_add,
     ref_compose,
     ref_mul,
+    ref_pack,
     ref_partial,
     ref_terms,
     ref_try_divide,
     to_sympy,
+    unpacked_terms,
 )
 
 
@@ -358,9 +362,9 @@ def test_representation_is_content_times_primitive_ints():
     x, y = Polynomial.variables(2)
     p = Fraction(3, 2) * x * x * y - 3
     assert p._c == Fraction(3, 2)
-    assert p._terms == {(2, 1): 1, (0, 0): -2}
+    assert unpacked_terms(p) == {(2, 1): 1, (0, 0): -2}
     assert -p == Polynomial(2, {(2, 1): Fraction(-3, 2), (0, 0): 3})
-    assert (-p)._terms == {(2, 1): -1, (0, 0): 2}
+    assert unpacked_terms(-p) == {(2, 1): -1, (0, 0): 2}
     zero = p - p
     assert zero._terms == {} and zero._c == 1
     assert (p * 0)._c == 1 and (p * Polynomial.zero(2))._c == 1
@@ -413,6 +417,107 @@ def test_relabel_is_the_signed_permutation_substitution(data):
     assert ref_terms(relabelled) == ref_compose(
         ref_terms(p), [ref_terms(s) for s in substitutions], p.nvars
     )
+
+
+# -- packed monomials: the layout against grlex_key and componentwise arithmetic --
+
+
+@st.composite
+def exponent_vectors(draw, n, total=None):
+    """n exponents with sum at most ``total`` (default: up to the ceiling less one)."""
+    if total is None:
+        total = draw(
+            st.one_of(
+                st.integers(0, 40),
+                st.integers(CEILING - 40, CEILING - 1),
+                st.integers(0, CEILING - 1),
+            )
+        )
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n, max_size=n)))
+    exps = [b - a for a, b in zip([0] + cuts, cuts)]
+    return tuple(draw(st.permutations(exps)))
+
+
+sized_vectors = st.integers(1, 20).flatmap(lambda n: st.tuples(st.just(n), exponent_vectors(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sized_vectors, st.data())
+def test_packing_round_trips_and_orders_like_grlex(data, draw):
+    n, a = data
+    # A permutation of a has its degree, so the order turns on the exponents.
+    b = draw.draw(st.one_of(exponent_vectors(n), st.permutations(a).map(tuple)))
+    ka, kb = poly._pack(n, a), poly._pack(n, b)
+    assert ka == ref_pack(a) and poly._unpack(n, ka) == a
+    assert (ka < kb) == (grlex_key(a) < grlex_key(b))
+    assert (ka == kb) == (a == b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sized_vectors, st.data())
+def test_the_guard_bit_test_is_componentwise_comparison(data, draw):
+    n, r = data
+    # Half the time d lies below r in every field but possibly one, which is
+    # pushed one past r's when the ceiling allows it.
+    if draw.draw(st.booleans()):
+        d = [draw.draw(st.integers(0, e)) for e in r]
+        i = draw.draw(st.integers(0, n - 1))
+        if draw.draw(st.booleans()) and sum(r) < CEILING - 1:
+            d[i] = r[i] + 1
+        d = tuple(d)
+    else:
+        d = draw.draw(exponent_vectors(n))
+    expected = all(x >= y for x, y in zip(r, d))
+    assert poly._divides(poly._pack(n, d), poly._pack(n, r), poly._guards(n)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(sized_vectors, st.data())
+def test_a_key_sum_below_the_ceiling_is_the_componentwise_sum(data, draw):
+    n, a = data
+    b = draw.draw(exponent_vectors(n, total=CEILING - 1 - sum(a)))
+    total = tuple(x + y for x, y in zip(a, b))
+    assert poly._pack(n, a) + poly._pack(n, b) == poly._pack(n, total)
+
+
+def _refused(action):
+    with pytest.raises(ValidationError) as info:
+        action()
+    assert info.value.code == "degree_too_large"
+
+
+def test_degrees_at_the_ceiling_are_refused_before_any_product(monkeypatch):
+    top = CEILING - 1
+    x, y = Polynomial.variables(2)
+    # Accepted one below the ceiling.
+    big = Polynomial(2, {(top, 0): 1})
+    assert big == Polynomial.monomial(2, (top - 5, 0)) * Polynomial.monomial(2, (5, 0))
+    assert Polynomial.monomial(2, (2 ** 30, 2 ** 30 - 1)).degree() == top
+    assert Polynomial.from_json_dict(
+        {"nvars": 2, "terms": [{"exp": [0, top], "num": "1", "den": "1"}]}
+    ) == y ** top
+    assert x ** (2 ** 30) * y ** (2 ** 30 - 1) == Polynomial.monomial(2, (2 ** 30, 2 ** 30 - 1))
+    assert x.compose([y ** top, x]) == y ** top
+    assert (x - 2 * y).compose([x ** top, y ** top]) == x ** top - 2 * y ** top
+    assert kernel_invariants_hold(big * 3)
+    assert Polynomial.constant(2, -1) ** CEILING == 1
+    square, half = x * x, y ** (2 ** 30)
+    # Refused at the ceiling, before any product is formed.
+    monkeypatch.setattr(poly, "_mul_ints", lambda a, b: pytest.fail("a product was formed"))
+    _refused(lambda: Polynomial(2, {(CEILING, 0): 1}))
+    _refused(lambda: Polynomial(2, {(2 ** 30, 2 ** 30): 1}))
+    _refused(lambda: Polynomial.monomial(2, (0, 10 ** 10)))
+    _refused(lambda: Polynomial.from_json_dict(
+        {"nvars": 2, "terms": [{"exp": [CEILING, 0], "num": "1", "den": "1"}]}
+    ))
+    _refused(lambda: big * x)
+    _refused(lambda: Polynomial.monomial(2, (2 ** 30, 0)) * Polynomial.monomial(2, (0, 2 ** 30)))
+    _refused(lambda: x ** CEILING)
+    _refused(lambda: (square + y + 1) ** (2 ** 30))
+    _refused(lambda: square.compose([half, x]))
+    _refused(lambda: big.compose([square, x]))
+    _refused(lambda: _join({(CEILING - 1,): Polynomial.variable(1, 0)}, 2))
+    assert Polynomial.zero(2) ** CEILING == 0
 
 
 # -- the representation stays in poly.py ----------------------------------------
@@ -584,7 +689,11 @@ def test_a_candidate_below_the_degree_bounds_is_refused(monkeypatch):
     f1, f2 = x + 2 * y + 1, x * y - 3
     p, q = f1 * f2 * (x ** 2 + y), f1 * f2 * (y ** 2 - x + 5)
     assert _gcd_degree_bounds([p, q]) == [2, 2]
-    monkeypatch.setattr(poly, "_heu_gcd", lambda family, m, budget: dict(f1._terms))
+    # The stub answers in the two-variable ring only; the recursion's
+    # one-variable GCDs get no candidate.
+    monkeypatch.setattr(
+        poly, "_heu_gcd", lambda family, m, budget: dict(f1._terms) if m == 2 else None
+    )
     remainder_sequences = _counting(monkeypatch, "_gcd_nonzero")
     assert _gcd_by_evaluation([p, q], [2, 2]) is None
     assert poly_gcd(p, q) == (f1 * f2).monic()
