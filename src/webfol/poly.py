@@ -33,8 +33,9 @@ with the total degree deg = sum(e) in the top field.  Integer order of keys
 is the canonical order, so sorts and leading terms compare plain ints, and
 the product of two monomials is the sum of their keys.  Every exponent and
 every total degree stays below the ceiling 2^31: the constructor refuses
-more, and products, powers, compositions and ``_join`` check the degree of
-their result from the top fields before any work, with the
+more, and products, powers, compositions and ``_join`` check a bound on
+the degree of their result (for compositions, the largest sum of
+e_i * deg(S_i) over the terms) before any work, with the
 ``degree_too_large`` code.  So no field carries into the next, and with G
 holding bit 31 of every field, x^d divides x^r exactly when
 ((r | G) - d) & G == G.  Exponent tuples appear only at the edges: the
@@ -49,7 +50,7 @@ import functools
 import math
 import struct
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import InputError, ValidationError
@@ -354,9 +355,8 @@ class Polynomial:
         # s_i = c_i * S_i.  With c_i = a_i/b_i and E_i the largest exponent
         # of x_i, the scalars are the ints v * prod a_i^e_i * b_i^(E_i - e_i)
         # over den = prod b_i^E_i, so the sum runs in ints and is normalised
-        # once.  Powers of each S_i are cached as they are needed.  The result
-        # has degree at most deg(self) * max deg(S_i), checked first.
-        _check_degree(self.degree() * max(map(Polynomial.degree, substitutions)))
+        # once.  Powers of each S_i are cached as they are needed.  Term x^e
+        # becomes terms of degree at most sum e_i * deg(S_i), checked first.
         one = {0: 1}
         powers: list[list[dict[int, int]]] = [[one] for _ in substitutions]
 
@@ -368,6 +368,8 @@ class Polynomial:
 
         unpack, size = _codec(self.nvars)[0].unpack, 4 * self.nvars + 4
         den, weights = 1, [(unpack(k.to_bytes(size, "little")), v) for k, v in self._terms.items()]
+        degrees = [max(s.degree(), 0) for s in substitutions]
+        _check_degree(max((sum(map(mul, exp, degrees)) for exp, _ in weights), default=0))
         for i, s in enumerate(substitutions):
             if s._c != 1 and weights:
                 a, b = s._c.numerator, s._c.denominator

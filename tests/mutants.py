@@ -3,21 +3,20 @@
 Each mutant is one exact edit of one source file.  The script copies src/ to
 a temporary directory, applies the edit there (the old text must occur
 exactly once), and runs the mutant's tests against the copy with pytest,
-under a per-mutant timeout.  The tests must fail, or run out of time, for
-the mutant to count as killed.  Before any mutant, the same tests run once
-against an unedited copy and must pass, so a kill is the edit's doing.
+under a timeout of TIMEOUT seconds per run.  The tests must fail, or run
+out of time, for the mutant to count as killed.  Before each mutant, the same
+tests run once against an unedited copy and must pass, so a kill is the
+edit's doing.
 
-    python tests/mutants.py [--timeout SECONDS] [NAME ...]
+    python tests/mutants.py
 
-NAME picks mutants by a substring of their name; by default all of them run.
-The exit code is 0 when every selected mutant is killed and 1 otherwise.
+The exit code is 0 when every mutant is killed and 1 otherwise.
 The script itself needs only the standard library; the tests need pytest
 and hypothesis.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -29,6 +28,9 @@ from typing import NamedTuple
 
 REPO = Path(__file__).resolve().parents[1]
 POLY_TESTS = "tests/test_poly.py::"
+
+# Seconds allowed for one pytest run (unedited or mutated).
+TIMEOUT = 300.0
 
 
 class Mutant(NamedTuple):
@@ -88,25 +90,25 @@ MUTANTS = (
 )
 
 
-def run_tests(src: Path, tests: tuple[str, ...], timeout: float) -> str:
+def run_tests(src: Path, tests: tuple[str, ...]) -> str:
     """'passed', 'failed' or 'timeout' for the tests against the package in src."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     try:
         done = subprocess.run(
-            command, cwd=REPO, env=env, capture_output=True, text=True, timeout=timeout
+            command, cwd=REPO, env=env, capture_output=True, text=True, timeout=TIMEOUT
         )
     except subprocess.TimeoutExpired:
         return "timeout"
     return "passed" if done.returncode == 0 else "failed"
 
 
-def check(mutant: Mutant, timeout: float) -> tuple[bool, str]:
+def check(mutant: Mutant) -> tuple[bool, str]:
     """(killed, outcome) of one mutant, from a fresh copy of src/."""
     with tempfile.TemporaryDirectory(prefix="webfol-mutant-") as scratch:
         src = Path(scratch) / "src"
         shutil.copytree(REPO / "src", src)
-        baseline = run_tests(src, mutant.tests, timeout)
+        baseline = run_tests(src, mutant.tests)
         if baseline != "passed":
             return False, f"the unedited tests {baseline}"
         target = src / mutant.path
@@ -115,26 +117,21 @@ def check(mutant: Mutant, timeout: float) -> tuple[bool, str]:
         if count != 1:
             return False, f"edit does not apply: old text occurs {count} times"
         target.write_text(text.replace(mutant.old, mutant.new))
-        outcome = run_tests(src, mutant.tests, timeout)
+        outcome = run_tests(src, mutant.tests)
         return outcome != "passed", outcome
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="substrings of mutant names to run")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per test run")
-    args = parser.parse_args(argv)
-    chosen = [m for m in MUTANTS if not args.names or any(n in m.name for n in args.names)]
+def main() -> int:
     survivors = 0
     start = time.perf_counter()
-    for mutant in chosen:
+    for mutant in MUTANTS:
         began = time.perf_counter()
-        killed, outcome = check(mutant, args.timeout)
+        killed, outcome = check(mutant)
         survivors += not killed
         status = "killed" if killed else "SURVIVED"
         print(f"{status:8s} {time.perf_counter() - began:6.1f} s  {mutant.name} ({outcome})")
-    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed in {time.perf_counter() - start:.1f} s")
-    return 1 if survivors or not chosen else 0
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed in {time.perf_counter() - start:.1f} s")
+    return 1 if survivors else 0
 
 
 if __name__ == "__main__":

@@ -499,6 +499,10 @@ def test_degrees_at_the_ceiling_are_refused_before_any_product(monkeypatch):
     assert x ** (2 ** 30) * y ** (2 ** 30 - 1) == Polynomial.monomial(2, (2 ** 30, 2 ** 30 - 1))
     assert x.compose([y ** top, x]) == y ** top
     assert (x - 2 * y).compose([x ** top, y ** top]) == x ** top - 2 * y ** top
+    # The bound is per term: deg(p) * max deg(S_i) would pass the ceiling.
+    edge = Polynomial.monomial(2, (2 ** 30, 2 ** 30 - 1))
+    assert (x * y).compose([x ** (2 ** 30), y ** (2 ** 30 - 1)]) == edge
+    assert (x * x * y).compose([x ** (2 ** 29), y ** (2 ** 30 - 1)]) == edge
     assert kernel_invariants_hold(big * 3)
     assert Polynomial.constant(2, -1) ** CEILING == 1
     square, half = x * x, y ** (2 ** 30)
