@@ -355,15 +355,22 @@ class Polynomial:
         # s_i = c_i * S_i.  With c_i = a_i/b_i and E_i the largest exponent
         # of x_i, the scalars are the ints v * prod a_i^e_i * b_i^(E_i - e_i)
         # over den = prod b_i^E_i, so the sum runs in ints and is normalised
-        # once.  Powers of each S_i are cached as they are needed.  Term x^e
-        # becomes terms of degree at most sum e_i * deg(S_i), checked first.
+        # once.  Powers of each S_i are cached as they are needed, each one
+        # product: S_i times the power below, or the square of the half when
+        # the power below is not at hand, so dense exponents cost one product
+        # per power and a large one about 2 log2 e.  Term x^e becomes terms of
+        # degree at most sum e_i * deg(S_i), checked first.
         one = {0: 1}
-        powers: list[list[dict[int, int]]] = [[one] for _ in substitutions]
+        powers: list[dict[int, dict[int, int]]] = [{0: one} for _ in substitutions]
 
         def power(i: int, e: int) -> dict[int, int]:
             cache = powers[i]
-            while len(cache) <= e:
-                cache.append(_mul_ints(cache[-1], substitutions[i]._terms))
+            if e not in cache:
+                if e & 1 or e - 1 in cache:
+                    cache[e] = _mul_ints(power(i, e - 1), substitutions[i]._terms)
+                else:
+                    half = power(i, e // 2)
+                    cache[e] = _mul_ints(half, half)
             return cache[e]
 
         unpack, size = _codec(self.nvars)[0].unpack, 4 * self.nvars + 4
@@ -647,8 +654,12 @@ def _ratio(p: Polynomial, q: Polynomial) -> Optional[Fraction]:
     """The c with p = c * q (0 when p is zero), or None.
 
     Primitive parts are unique, so for nonzero p they must agree up to sign,
-    and then c is that sign times the content ratio.
+    and then c is that sign times the content ratio.  Keys only mean the
+    same monomial in one ring (key 0 is the constant of every ring), so p
+    and q in different rings are never proportional.
     """
+    if p.nvars != q.nvars:
+        return None
     if not p._terms:
         return Fraction(0)
     if p._terms == q._terms:
@@ -695,9 +706,10 @@ def _combine(p: Polynomial, q: Polynomial, sign: int) -> Polynomial:
 #   divides every member and deg_i G equals every bound.  G | g and
 #   deg_i G <= deg_i g <= bound_i = deg_i G leave g/G constant.
 #
-# Every other input takes the exact path: split off the content with respect
-# to the last variable, reduce the primitive parts by a primitive
-# pseudo-remainder sequence, and recurse for the contents.  The sequence is
+# Every other input takes the exact path, ``_gcd_nonzero``: each member is
+# the list of its coefficients in the last variable (``_split``), the
+# contents are GCDs of those lists, and a primitive pseudo-remainder
+# sequence reduces the primitive parts, entry by entry.  The sequence is
 # exponential in the degree.
 
 # The prime of every modular computation in the package, 2^61 - 1.
@@ -713,21 +725,18 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     ``poly_gcd(p, 0)`` is the monic normalisation of p; the GCD of two zero
     polynomials is zero.
     """
-    if p.nvars != q.nvars:
-        raise InputError(f"variable-count mismatch: {p.nvars} vs {q.nvars}")
-    if p.is_zero:
-        return q.monic()
-    if q.is_zero:
-        return p.monic()
-    verified = _verified_gcd([p, q])
-    return verified if verified is not None else _gcd_nonzero(p, q).monic()
+    return poly_gcd_many([p, q])
 
 
 def poly_gcd_many(polys: Iterable[Polynomial]) -> Polynomial:
-    """GCD of a family (zero for an empty or all-zero family)."""
+    """GCD of a family, monic (zero for an all-zero family)."""
     family = list(polys)
     if not family:
         raise InputError("gcd of an empty family")
+    n = family[0].nvars
+    for p in family:
+        if p.nvars != n:
+            raise InputError(f"variable-count mismatch: {n} vs {p.nvars}")
     nonzero = [p for p in family if not p.is_zero]
     if not nonzero:
         return family[0]
@@ -738,9 +747,9 @@ def poly_gcd_many(polys: Iterable[Polynomial]) -> Polynomial:
     nonzero.sort(key=lambda p: (p.degree(), len(p._terms)))
     result = nonzero[0]
     for p in nonzero[1:]:
-        result = poly_gcd(result, p)
+        result = _gcd_nonzero(result, p)
         if result.degree() == 0:
-            return result.monic()
+            break
     return result.monic()
 
 
@@ -902,60 +911,6 @@ def _gcd_mod_p(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _deg_last(p: Polynomial) -> int:
-    if p.is_zero:
-        return -1
-    last = (p.nvars - 1) * _W
-    return max(k >> last & _FIELD for k in p._terms)
-
-
-def _lift_last(p: Polynomial) -> Polynomial:
-    """Reinterpret an (n-1)-variable polynomial inside n variables."""
-    return _join({(0,): p}, p.nvars + 1)
-
-
-def _lc_last(p: Polynomial, last_degree: int = 0) -> Polynomial:
-    """Leading coefficient with respect to the last variable, lifted to nvars."""
-    n, d = p.nvars, _deg_last(p)
-    last = (n - 1) * _W
-    drop = (d - last_degree) * (1 << last | 1 << (n * _W))
-    out = {k - drop: v for k, v in p._terms.items() if k >> last & _FIELD == d}
-    return _primitive(n, out, p._c)
-
-
-def _content_last(p: Polynomial) -> Polynomial:
-    """Content with respect to the last variable, as an (nvars-1)-poly."""
-    return poly_gcd_many(_split(p, p.nvars - 1).values())
-
-
-def _scalar_normalised(p: Polynomial) -> Polynomial:
-    """Scale so coefficients become coprime integers (harmless inside a PRS)."""
-    if p.is_zero or p._c == 1:
-        return p
-    return _make(p.nvars, p._terms, _ONE)
-
-
-def _prem_last(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Pseudo-remainder of f by g in the last variable (coefficients stay polynomial)."""
-    dg = _deg_last(g)
-    r = _scalar_normalised(f)
-    g = _scalar_normalised(g)
-    lg = _lc_last(g)
-    while not r.is_zero and _deg_last(r) >= dg:
-        lr = _lc_last(r, _deg_last(r) - dg)
-        r = _scalar_normalised(lg * r - lr * g)
-    return r
-
-
-def _primitive_last(p: Polynomial, content: Optional[Polynomial] = None) -> Polynomial:
-    """p divided by its content in the last variable (computed unless given)."""
-    if content is None:
-        content = _content_last(p)
-    quotient = p.try_divide(_lift_last(content))
-    assert quotient is not None, "content must divide its polynomial"
-    return quotient
-
-
 def _gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
     """Euclid's algorithm on the primitive int parts: a GCD up to a unit.
 
@@ -986,32 +941,66 @@ def _gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
 
 
 def _gcd_nonzero(p: Polynomial, q: Polynomial) -> Polynomial:
+    """A GCD of nonzero p and q up to a constant.
+
+    In one variable, Euclid.  In more, p and q are lists of coefficients in
+    the last variable: the GCD of their contents times the last nonzero
+    member of the primitive pseudo-remainder sequence of their primitive
+    parts (Collins 1967, Brown 1971).
+    """
     n = p.nvars
     if n == 1:
         return _gcd_univariate(p, q)
-    dp, dq = _deg_last(p), _deg_last(q)
-    if dp == 0 and dq == 0:
-        # Both live in the subring without the last variable.
-        return _lift_last(poly_gcd(_split(p, n - 1)[(0,)], _split(q, n - 1)[(0,)]))
-    content_p = _content_last(p)
-    content_q = _content_last(q)
-    content_gcd = _lift_last(poly_gcd(content_p, content_q))
-    f = _primitive_last(p, content_p)
-    g = _primitive_last(q, content_q)
-    if _deg_last(f) < _deg_last(g):
+    f, g = _coefficients_last(p), _coefficients_last(q)
+    cf, cg = poly_gcd_many(f), poly_gcd_many(g)
+    content = poly_gcd_many([cf, cg])
+    f, g = _divided(f, cf), _divided(g, cg)
+    if len(f) < len(g):
         f, g = g, f
-    while True:
-        if g.is_zero:
-            main = f
-            break
-        if _deg_last(g) == 0:
-            # Primitive in the main variable and constant in it: coprime there.
-            main = Polynomial.constant(n, 1)
-            break
-        r = _prem_last(f, g)
-        if r.is_zero:
-            main = g
-            break
-        f, g = g, _primitive_last(r)
-    # f and g are primitive in the last variable throughout, and so is main.
-    return content_gcd * main
+    while g:
+        r = _prem(f, g)
+        if r:
+            r = _divided(r, poly_gcd_many(r))
+        f, g = g, r
+    return _join({(i,): content * c for i, c in enumerate(f)}, n)
+
+
+def _coefficients_last(p: Polynomial) -> list[Polynomial]:
+    """C_0 .. C_d of p = sum_i C_i x_last^i (C_d nonzero), each in the other variables."""
+    parts = _split(p, p.nvars - 1)
+    zero = _make(p.nvars - 1, {}, _ONE)
+    return [parts.get((i,), zero) for i in range(max(parts)[0] + 1)]
+
+
+def _divided(parts: list[Polynomial], d: Polynomial) -> list[Polynomial]:
+    """Each entry over the monic d, which divides them all, with one rational scale making the integers coprime.
+
+    A constant d is 1, so only a d of positive degree is divided out.  The
+    scale is a unit, so no GCD changes; it keeps the integers of a
+    remainder sequence from growing from one remainder to the next.
+    """
+    if d.degree() > 0:
+        parts = [c.try_divide(d) for c in parts]
+    scales = [c._c for c in parts if c._terms]
+    scale = Fraction(
+        math.gcd(*(c.numerator for c in scales)), math.lcm(*(c.denominator for c in scales))
+    )
+    return [_make(c.nvars, c._terms, c._c / scale) if c._terms else c for c in parts]
+
+
+def _prem(f: list[Polynomial], g: list[Polynomial]) -> list[Polynomial]:
+    """The pseudo-remainder of f by g, coefficient lists with nonzero last entries, len(f) >= len(g).
+
+    Each step r <- lc(g)*r - lc(r)*x^s*g cancels the leading entry of r.
+    """
+    lg, dg = g[-1], len(g) - 1
+    r = list(f)
+    while len(r) > dg:
+        lr = r.pop()
+        s = len(r) - dg
+        r = [lg * c for c in r]
+        for i, c in enumerate(g[:-1], s):
+            r[i] -= lr * c
+        while r and not r[-1]:
+            r.pop()
+    return r

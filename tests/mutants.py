@@ -1,4 +1,4 @@
-"""Mutation checks for the packed monomial kernel of webfol.poly.
+"""Mutation checks for the packed monomial kernel and the GCD of webfol.poly.
 
 Each mutant is one exact edit of one source file.  The script copies src/ to
 a temporary directory, applies the edit there (the old text must occur
@@ -86,6 +86,20 @@ MUTANTS = (
         "        if not kept:\n            return None\n",
         "",
         (POLY_TESTS + "test_certificate_falls_through_when_a_leading_coefficient_vanishes",),
+    ),
+    Mutant(
+        "pseudo-remainder step without the lc(g) scaling",
+        "webfol/poly.py",
+        "r = [lg * c for c in r]",
+        "r = list(r)",
+        (POLY_TESTS + "test_each_content_is_computed_once_in_the_remainder_sequence",),
+    ),
+    Mutant(
+        "pseudo-remainders not made primitive",
+        "webfol/poly.py",
+        "r = _divided(r, poly_gcd_many(r))",
+        "r = r",
+        (POLY_TESTS + "test_each_content_is_computed_once_in_the_remainder_sequence",),
     ),
 )
 

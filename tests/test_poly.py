@@ -94,6 +94,15 @@ def test_mul_variable_count_mismatch():
         Polynomial.variable(2, 0) * Polynomial.variable(3, 0)
 
 
+def test_gcd_variable_count_mismatch():
+    x, y = Polynomial.variable(1, 0), Polynomial.variable(2, 1)
+    for family in ([x, y], [y, x], [x + 1, y * y + 2]):
+        with pytest.raises(InputError, match="variable-count mismatch"):
+            poly_gcd_many(family)
+        with pytest.raises(InputError, match="variable-count mismatch"):
+            poly_gcd(*family)
+
+
 def test_partial_basics():
     x, y, z = variables3()
     assert (x * x * y).partial(0) == 2 * x * y
@@ -395,6 +404,8 @@ def test_split_and_join_are_inverse(data, scalar):
     spike = Polynomial.monomial(p.nvars, (5,) + (0,) * (p.nvars - 1))
     assert _ratio(p * scalar, p) == (scalar if p else 0)
     assert _ratio(p + spike, p) is None
+    # Key 0 is the constant of every ring; other rings are never proportional.
+    assert _ratio(Polynomial.constant(p.nvars + 1, 1), Polynomial.constant(p.nvars, 1)) is None
 
 
 @settings(max_examples=150, deadline=None)
@@ -503,6 +514,19 @@ def test_degrees_at_the_ceiling_are_refused_before_any_product(monkeypatch):
     edge = Polynomial.monomial(2, (2 ** 30, 2 ** 30 - 1))
     assert (x * y).compose([x ** (2 ** 30), y ** (2 ** 30 - 1)]) == edge
     assert (x * x * y).compose([x ** (2 ** 29), y ** (2 ** 30 - 1)]) == edge
+    # A power far past the cache is formed by squaring, not one product per step.
+    term, far = x ** (2 ** 30) * y, y ** (2 ** 30)
+    mul_ints, products = poly._mul_ints, []
+
+    def counted(a, b):
+        products.append(None)
+        if len(products) > 64:
+            pytest.fail("a power was formed one product per step")
+        return mul_ints(a, b)
+
+    monkeypatch.setattr(poly, "_mul_ints", counted)
+    assert term.compose([Polynomial.constant(2, 1), far]) == far
+    monkeypatch.setattr(poly, "_mul_ints", mul_ints)
     assert kernel_invariants_hold(big * 3)
     assert Polynomial.constant(2, -1) ** CEILING == 1
     square, half = x * x, y ** (2 ** 30)
@@ -631,7 +655,7 @@ def test_planted_families_agree_with_sympy(family):
             verified = _verified_gcd(members)
             assert verified is None or verified == gcd
         return
-    assert poly_gcd_many(family) == expected
+    assert poly_gcd_many(family) == expected == _exact_gcd(family)
     assert poly_gcd(family[0], family[1]) == pair
 
 
@@ -784,27 +808,26 @@ def test_coprime_inputs_never_reach_the_remainder_sequence(monkeypatch):
 
 
 def test_each_content_is_computed_once_in_the_remainder_sequence(monkeypatch):
-    # In two variables the contents are univariate, so every _content_last
-    # call is the top-level sequence's own: one for each input, and one for
-    # each nonzero pseudo-remainder made primitive.  The inputs' contents used
-    # to be computed twice, and the result's once more.
+    # In two variables the contents are univariate, so every poly_gcd_many
+    # call is the top-level sequence's own: one content for each input, one
+    # GCD of the two, and one content for each nonzero pseudo-remainder made
+    # primitive.  The inputs' contents used to be computed twice, and the
+    # result's once more.
     x, y = Polynomial.variables(2)
     f = x * y + 2 * y ** 2 - 3
     p, q = f * (x ** 2 * y - y + 1), f * (x * y ** 2 + 2 * x - 5)
-    contents, remainders = [], []
-    content_last, prem_last = poly._content_last, poly._prem_last
-
-    def counted_content(a):
-        contents.append(a)
-        return content_last(a)
+    remainders = []
+    prem = poly._prem
 
     def counted_prem(a, b):
-        r = prem_last(a, b)
+        r = prem(a, b)
         if r:
             remainders.append(r)
         return r
 
-    monkeypatch.setattr(poly, "_content_last", counted_content)
-    monkeypatch.setattr(poly, "_prem_last", counted_prem)
+    monkeypatch.setattr(poly, "_prem", counted_prem)
+    contents = _counting(monkeypatch, "poly_gcd_many")
+    primitive_parts = _counting(monkeypatch, "_divided")
     assert _gcd_nonzero(p, q).monic() == f.monic()
-    assert remainders and len(contents) == 2 + len(remainders)
+    assert remainders and len(contents) == 3 + len(remainders)
+    assert len(primitive_parts) == 2 + len(remainders)
