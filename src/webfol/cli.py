@@ -109,6 +109,18 @@ def _parse_points(text: str, n: int) -> list[tuple[Fraction, ...]]:
     return [_parse_point(chunk, n) for chunk in text.split(";") if chunk.strip()]
 
 
+def _sample_points(args, form: SymForm) -> list[tuple[Fraction, ...]]:
+    """The --points, else the first --count schedule points; an empty set is refused."""
+    if args.points is not None:
+        points = _parse_points(args.points, form.ndiff)
+        if not points:
+            raise InputError(f"--points {args.points!r} gives no point")
+        return points
+    if args.count < 1:
+        raise InputError(f"--count must be at least 1, got {args.count}")
+    return generic_sample_points(form, args.count)
+
+
 def _variable_index(name: str, n: int) -> int:
     aliases = {"x": 0, "y": 1, "z": 2, "w": 3}
     if name in aliases and aliases[name] < n:
@@ -305,10 +317,7 @@ def _cmd_restrict(args) -> tuple[int, dict]:
 
 def _cmd_squarefree(args) -> tuple[int, dict]:
     form = parse_form(args.form)
-    if args.points:
-        points = _parse_points(args.points, form.ndiff)
-    else:
-        points = generic_sample_points(form, args.count)
+    points = _sample_points(args, form)
     results = [is_squarefree_at(form, point) for point in points]
     doc = {
         "points": [[str(c) for c in point] for point in points],
@@ -320,10 +329,7 @@ def _cmd_squarefree(args) -> tuple[int, dict]:
 
 def _cmd_hij(args) -> tuple[int, dict | str]:
     form = parse_form(args.form)
-    if args.points:
-        points = _parse_points(args.points, form.ndiff)
-    else:
-        points = generic_sample_points(form, args.count)
+    points = _sample_points(args, form)
     system = invariance_system(form, points)
     if args.format == "text":
         return EXIT_OK, export_system(system, "text")

@@ -42,6 +42,9 @@ holding bit 31 of every field, x^d divides x^r exactly when
 constructor, ``monomial``, ``coefficient``, ``terms``, ``leading_term``,
 ``evaluate``, rendering, JSON, the hash, and the tail multi-indices of
 ``_split`` and ``_join``.
+
+GCDs come from one algorithm, W. S. Brown's modular GCD (JACM 1971): images
+modulo primes and at points, Newton interpolation, the CRT, trial division.
 """
 
 from __future__ import annotations
@@ -410,29 +413,9 @@ class Polynomial:
         # Long division of the primitive parts in Z.  By Gauss's lemma an
         # exact quotient of primitive polynomials is itself integral, so a
         # leading coefficient that does not divide means "not divisible".
-        dterms = divisor._terms
-        dexp = max(dterms)
-        dcoeff = dterms[dexp]
-        guards = _guards(self.nvars)
-        quotient: dict[int, int] = {}
-        remainder = dict(self._terms)
-        while remainder:
-            rexp = max(remainder)
-            if not _divides(dexp, rexp, guards):
-                return None
-            q, r = divmod(remainder[rexp], dcoeff)
-            if r:
-                return None
-            step = rexp - dexp
-            quotient[step] = q
-            get = remainder.get
-            for e, v in dterms.items():
-                e += step
-                v = get(e, 0) - q * v
-                if v:
-                    remainder[e] = v
-                else:
-                    del remainder[e]
+        quotient = _quotient(self._terms, divisor._terms, _guards(self.nvars))
+        if quotient is None:
+            return None
         return _make(self.nvars, quotient, self._c / divisor._c)
 
     def shift_down(self, index: int, amount: int) -> "Polynomial":
@@ -572,6 +555,31 @@ def _mul_ints(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return {e: v for e, v in out.items() if v}
 
 
+def _quotient(f: dict[int, int], g: dict[int, int], guards: int, p: int = 0) -> Optional[dict[int, int]]:
+    """f / g for int maps by long division, or None if g does not divide f: over Z, or over F_p for p > 0 and g monic."""
+    lead = max(g)
+    lc, r, out = g[lead], dict(f), {}
+    while r:
+        k = max(r)
+        if not _divides(lead, k, guards):
+            return None
+        q, rem = divmod(r[k], lc)
+        if rem:
+            return None
+        step, get = k - lead, r.get
+        out[step] = q
+        for e, v in g.items():
+            e += step
+            v = get(e, 0) - q * v
+            if p:
+                v %= p
+            if v:
+                r[e] = v
+            else:
+                del r[e]
+    return out
+
+
 def _relabel(p: Polynomial, images: Sequence[int], signs: Sequence[int]) -> Polynomial:
     """p with x_i -> signs[i] * x_{images[i]}, ``images`` a permutation of the variables, signs +-1.
 
@@ -693,30 +701,16 @@ def _combine(p: Polynomial, q: Polynomial, sign: int) -> Polynomial:
 
 # -- greatest common divisors ----------------------------------------------------
 #
-# Multivariate GCD over Q.  Two fast paths run in front of the exact one, and
-# both are checked against modular images so that every answer is the exact
-# GCD g up to a constant:
-#
-# - ``_gcd_degree_bounds`` reduces the members to one univariate image per
-#   variable modulo a prime and takes the degree of their GCD there: an upper
-#   bound on deg_i g (the image argument behind Brown's modular GCD, 1971).
-#   All bounds 0 certify a constant GCD.
-# - ``_gcd_by_evaluation`` builds a candidate G by integer evaluation (the
-#   heuristic GCD of Char, Geddes and Gonnet, 1989) and keeps it only when G
-#   divides every member and deg_i G equals every bound.  G | g and
-#   deg_i G <= deg_i g <= bound_i = deg_i G leave g/G constant.
-#
-# Every other input takes the exact path, ``_gcd_nonzero``: each member is
-# the list of its coefficients in the last variable (``_split``), the
-# contents are GCDs of those lists, and a primitive pseudo-remainder
-# sequence reduces the primitive parts, entry by entry.  The sequence is
-# exponential in the degree.
+# W. S. Brown's dense modular GCD ("On Euclid's algorithm and the computation
+# of polynomial greatest common divisors", JACM 1971) on the primitive int
+# parts, behind the certificate ``_gcd_degree_bounds``: ``_gcd_ints`` combines
+# images modulo primes by the CRT, ``_gcd_mod`` evaluates and interpolates one
+# variable at a time, and ``_gcd_mod_p`` (Euclid in F_p[x]) is the base case.
+# Leading monomials are the packed keys'; each loop's end is argued in its
+# function's docstring.
 
-# The prime of every modular computation in the package, 2^61 - 1.
+# The first prime of every modular computation in the package, 2^61 - 1.
 _PRIME = 2305843009213693951
-
-# Evaluation points tried per variable by ``_gcd_by_evaluation``.
-_HEU_TRIES = 6
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -740,27 +734,23 @@ def poly_gcd_many(polys: Iterable[Polynomial]) -> Polynomial:
     nonzero = [p for p in family if not p.is_zero]
     if not nonzero:
         return family[0]
-    if len(nonzero) >= 2:
-        verified = _verified_gcd(nonzero)
-        if verified is not None:
-            return verified
-    nonzero.sort(key=lambda p: (p.degree(), len(p._terms)))
-    result = nonzero[0]
-    for p in nonzero[1:]:
-        result = _gcd_nonzero(result, p)
-        if result.degree() == 0:
-            break
-    return result.monic()
-
-
-def _verified_gcd(polys: list[Polynomial]) -> Optional[Polynomial]:
-    """The monic GCD of nonzero polynomials from the fast paths, or None."""
-    bounds = _gcd_degree_bounds(polys)
-    if bounds is None:
-        return None
-    if not any(bounds):
-        return _constant(polys[0].nvars, 1)
-    return _gcd_by_evaluation(polys, bounds)
+    if len(nonzero) == 1:
+        return nonzero[0].monic()
+    bounds = _gcd_degree_bounds(nonzero)
+    if bounds is not None and not any(bounds):
+        return _constant(n, 1)
+    ints = [p._terms for p in nonzero]
+    if n == 1 or not all(p.is_homogeneous() for p in nonzero):
+        return _make(n, _gcd_ints(ints, n), _ONE).monic()
+    # Homogeneous x_{n-1}^(o_j) * h_j, x_{n-1} prime to h_j, have the GCD
+    # x_{n-1}^(min o_j) times the homogenised GCD of the h_j(.., 1): x_{n-1} = 1
+    # keeps divisibility between homogeneous polynomials prime to x_{n-1}, and
+    # spares the images a variable.  Keys drop field n - 1 from their degree.
+    last, top = (n - 1) * _W, n * _W
+    low = (1 << last) - 1
+    g = _gcd_ints([{k & low | ((k >> top) - (k >> last & _FIELD)) << last: v for k, v in f.items()} for f in ints], n - 1)
+    d = (max(g) >> last) + min(p.x_order(n - 1) for p in nonzero)
+    return _make(n, {k & low | (d - (k >> last)) << last | d << top: v for k, v in g.items()}, _ONE).monic()
 
 
 def _gcd_degree_bounds(polys: list[Polynomial]) -> Optional[list[int]]:
@@ -769,7 +759,7 @@ def _gcd_degree_bounds(polys: list[Polynomial]) -> Optional[list[int]]:
     For each variable x_i of positive degree in every member, the others are
     fixed at x_j = j + 2 and the primitive int parts are reduced modulo the
     prime.  g divides every member, so lc_i(g) divides each member's leading
-    coefficient in x_i: an image that keeps some member's x_i-degree keeps
+    coefficient: an image that keeps some member's x_i-degree keeps
     g's, and g's image divides every image, so the degree of their GCD in
     F_p[x_i] bounds deg_i g.  A variable of degree 0 in some member has bound
     0.  When no member keeps its degree in some variable there is no bound
@@ -803,101 +793,205 @@ def _gcd_degree_bounds(polys: list[Polynomial]) -> Optional[list[int]]:
     return bounds
 
 
-def _gcd_by_evaluation(polys: list[Polynomial], bounds: list[int]) -> Optional[Polynomial]:
-    """The monic GCD of nonzero polynomials when evaluation finds it, or None.
+def _gcd_ints(family: list[dict[int, int]], n: int) -> dict[int, int]:
+    """A GCD in Z[x_0..x_{n-1}] of two or more nonzero primitive int maps, up to sign.
 
-    The candidate from ``_heu_gcd`` divides every member; it is kept only
-    when its degree in each variable equals the bound, which makes it the
-    GCD.
+    Let g be the primitive GCD, gamma the gcd of the members' leading
+    coefficients, and H = (gamma / lc(g)) * g, integral because lc(g)
+    divides every leading coefficient.  Mahler's bound gives |H| <= gamma *
+    2^(sum_i d_i) * min_j ||f_j||_2, d_i the least deg_i of a member.  For a
+    prime p not dividing gamma, g mod p keeps its leading monomial and
+    divides the GCD G_p of the images, so lm(G_p) >= lm(g), with equality
+    ("lucky") exactly when gamma * G_p = H mod p.  Images of one leading
+    monomial are combined by the CRT in the symmetric range; a smaller one
+    restarts the run and a larger one is dropped.  The candidate, the
+    primitive part of the combination, is tried when a prime leaves it
+    unchanged and when the modulus passes 2 |H|.  It is accepted when it
+    divides every member: then it divides g, and its leading monomial
+    lm(G_p) >= lm(g) leaves g / candidate constant.
+
+    Why the loop ends: the primes dividing gamma are skipped, and the
+    unlucky ones divide a nonzero integer (a resultant of the cofactors), so
+    only finitely many come.  A lucky run gives H once the modulus passes
+    2 |H| (the Mignotte bound).  A run that passes it without a divisor was
+    unlucky: its leading monomial and every larger one are refused after.
     """
-    n = polys[0].nvars
-    ints = _heu_gcd([f._terms for f in polys], n, [_HEU_TRIES * n])
-    if ints is None or list(map(max, zip(*(_unpack(n, k) for k in ints)))) != bounds:
-        return None
-    return _make(n, ints, _ONE).monic()
+    if any(not max(f) >> (n * _W) for f in family):
+        return {0: 1}
+    gamma = math.gcd(*(f[max(f)] for f in family))
+    spread = sum(min(max(k >> (i * _W) & _FIELD for k in f) for f in family) for i in range(n))
+    norm = min(math.isqrt(sum(v * v for v in f.values())) + 1 for f in family)
+    bound, guards = (gamma * norm << spread) * 2, _guards(n)
+    ceiling = lead = None
+    for p in _primes():
+        if not gamma % p:
+            continue
+        images = [{k: r for k, v in f.items() if (r := v % p)} for f in family]
+        image = _gcd_mod([f for f in images if f], n, p)
+        new = max(image)
+        if ceiling is not None and new >= ceiling or lead is not None and new > lead:
+            continue
+        if lead is None or new < lead:
+            lead, modulus, h = new, 1, {}
+        # h + modulus * t, t = (gamma * image - h) / modulus mod p, in the symmetric range.
+        inv, half, changed = pow(modulus, -1, p), modulus * p // 2, False
+        for k in h.keys() | image.keys():
+            t = (gamma * image.get(k, 0) - h.get(k, 0)) * inv % p
+            if t:
+                v = h.get(k, 0) + modulus * t
+                h[k], changed = v - modulus * p if v > half else v, True
+        modulus *= p
+        complete = modulus > bound
+        if complete or not changed:
+            c = math.gcd(*h.values())
+            candidate = {k: v // c for k, v in h.items()}
+            if all(_quotient(f, candidate, guards) is not None for f in family):
+                return candidate
+            if complete:
+                ceiling, lead = lead, None
 
 
-def _heu_gcd(
-    family: list[dict[int, int]], m: int, budget: list[int]
-) -> Optional[dict[int, int]]:
-    """A GCD in Z[x_0..x_{m-1}] of nonzero int maps that divides every member, or None.
+def _gcd_mod(family: list[dict[int, int]], m: int, p: int) -> dict[int, int]:
+    """The monic GCD in F_p[x_0..x_{m-1}] of nonzero int maps with values in [0, p).
 
-    Takes out the integer content c of the family, evaluates the last
-    variable at an integer xi, recurses, and reads the candidate off the
-    balanced xi-adic digits of the integer-coefficient GCD found there.  The
-    candidate's primitive part times c is returned when it divides every
-    member; otherwise xi grows, at most ``_HEU_TRIES`` values here and
-    ``budget[0]`` evaluations in all.  A failure below returns None at once.
+    A member maps monomials in x_0..x_{m-2} (the head) to coefficient lists
+    in y = x_{m-1}.  The GCD is G = c * P, c in F_p[y] the GCD of all those
+    lists (the content; in one variable, G itself) and P primitive.  Let
+    gamma be the GCD of the members' leading coefficients (at their leading
+    head monomials) and H = (gamma / lc(P)) * P.  At y = a with
+    gamma(a) != 0, P(a) keeps its head leading monomial and divides the GCD
+    G_a of the images, so lm(G_a) >= lm(P), with equality ("lucky") exactly
+    when gamma(a) * G_a = H(a).  Points of one leading monomial are
+    Newton-interpolated; a smaller one restarts the run and a larger one is
+    dropped.  A lucky run of deg gamma + min_j deg_y f_j + 1 points gives H.
+    The candidate c * H' / cont(H'), H' the interpolant, is tried when a
+    point leaves H' unchanged and when the run has that many points, and
+    accepted when it divides every member: it is then G, as c times a
+    primitive polynomial with a head leading monomial at least P's.
+
+    Why the loop ends: the roots of gamma are skipped, and the unlucky
+    points are roots of a nonzero polynomial of bounded degree (a
+    resultant), so only finitely many come.  A run that reaches the point
+    count without a divisor was unlucky: its leading monomial and every
+    larger one are refused after.
     """
-    if m == 0:
-        return {0: math.gcd(*(f[0] for f in family))}
-    c = math.gcd(*(v for f in family for v in f.values()))
-    if c > 1:
-        family = [{e: v // c for e, v in f.items()} for f in family]
-    xi = 2 * min(max(map(abs, f.values())) for f in family) + 29
-    members = [_make(m, f, _ONE) for f in family]
-    for _ in range(_HEU_TRIES):
-        if budget[0] <= 0:
-            return None
-        budget[0] -= 1
-        evaluated = [_evaluate_last(f, m, xi) for f in family]
-        if all(evaluated):
-            inner = _heu_gcd(evaluated, m - 1, budget)
-            if inner is None:
-                return None
-            candidate = _primitive(m, _xi_adic(inner, m, xi), _ONE)
-            # A constant candidate is +-1, being primitive, and divides every member.
-            if candidate.degree() == 0 or all(f.try_divide(candidate) is not None for f in members):
-                return {e: c * v for e, v in candidate._terms.items()}
-        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
-    return None
-
-
-def _evaluate_last(f: dict[int, int], m: int, xi: int) -> dict[int, int]:
-    """The int map f in m variables with its last one set to xi, cancelled terms dropped.
-
-    A key keeps its first m - 1 fields under the degree less the last exponent.
-    """
+    if len(family) == 1:
+        return _monic_mod(family[0], p)
     last, top = (m - 1) * _W, m * _W
     low = (1 << last) - 1
-    out: dict[int, int] = {}
-    get = out.get
-    for k, v in f.items():
-        e = k >> last & _FIELD
-        head = k & low | ((k >> top) - e) << last
-        out[head] = get(head, 0) + v * xi ** e
-    return {e: v for e, v in out.items() if v}
+    members = []
+    for f in family:
+        rows: dict[int, list[int]] = {}
+        for k, v in f.items():
+            e = k >> last & _FIELD
+            row = rows.setdefault(k & low | ((k >> top) - e) << last, [])
+            row.extend([0] * (e + 1 - len(row)))
+            row[e] = v
+        members.append(rows)
+    content = _gcd_rows((row for rows in members for row in rows.values()), p)
+    if m == 1:
+        return _monic_mod({e << _W | e: v for e, v in enumerate(content) if v}, p)
+    gamma = _gcd_rows((rows[max(rows)] for rows in members), p)
+    points = len(gamma) - 1 + min(max(map(len, rows.values())) for rows in members)
+    guards, ceiling, lead, a = _guards(m), None, None, 0
+    while True:
+        a += 1
+        scale = _horner(gamma, a, p)
+        if not scale:
+            continue
+        images = [{h: v for h, row in rows.items() if (v := _horner(row, a, p))} for rows in members]
+        image = _gcd_mod([f for f in images if f], m - 1, p)
+        new = max(image)
+        if ceiling is not None and new >= ceiling or lead is not None and new > lead:
+            continue
+        if lead is None or new < lead:
+            lead, h, q, count = new, {}, [1], 0
+        # h + q * (scale * image - h(a)) / q(a), q the product of the y - a_j
+        # so far; each changed row ends in d != 0, so rows have no trailing zeros.
+        w, changed = pow(_horner(q, a, p), -1, p), False
+        for head in h.keys() | image.keys():
+            row = h.get(head, [])
+            d = (scale * image.get(head, 0) - _horner(row, a, p)) * w % p
+            if d:
+                row = row + [0] * (len(q) - len(row))
+                h[head], changed = [(x + d * y) % p for x, y in zip(row, q)], True
+        q = [(x - a * y) % p for x, y in zip([0] + q, q + [0])]
+        count += 1
+        if count == points or not changed:
+            c = _gcd_rows(h.values(), p)
+            candidate = _monic_mod({
+                head & low | e << last | ((head >> last) + e) << top: v
+                for head, row in h.items()
+                for e, v in enumerate(_mul_mod_p(_quo_mod_p(row, c, p), content, p)) if v
+            }, p)
+            if all(_quotient(f, candidate, guards, p) is not None for f in family):
+                return candidate
+            if count == points:
+                ceiling, lead = lead, None
 
 
-def _xi_adic(h: dict[int, int], m: int, xi: int) -> dict[int, int]:
-    """sum_k D_k x_last^k in m variables, where D_k holds the k-th balanced xi-adic digit of each coefficient of h.
+def _monic_mod(f: dict[int, int], p: int) -> dict[int, int]:
+    inv = pow(f[max(f)], -1, p)
+    return {k: v * inv % p for k, v in f.items()}
 
-    Its value at x_last = xi is h.  A key of h keeps its m - 1 fields, its
-    degree moves up to the top field, and x_last^k adds k to both.
+
+def _primes():
+    """_PRIME, then the primes below it in descending order.
+
+    Below 3.8 * 10^18 a strong probable prime to the bases 2, 3, ..., 23 is
+    prime (Jaeschke 1993): with q - 1 = d * 2^s, d odd, x = a^d is 1 or has
+    x^(2^i) = -1 for some i < s.  2^61 - 1 < 2.4 * 10^18.
     """
-    last, top = (m - 1) * _W, m * _W
-    low, step = (1 << last) - 1, 1 << last | 1 << top
-    out: dict[int, int] = {}
-    half = xi // 2
-    h = {k & low | (k >> last) << top: v for k, v in h.items()}
-    while h:
-        rest = {}
-        for e, v in h.items():
-            digit = v % xi
-            if digit > half:
-                digit -= xi
-            if digit:
-                out[e] = digit
-            v = (v - digit) // xi
-            if v:
-                rest[e + step] = v
-        h = rest
+    q = _PRIME
+    yield q
+    while True:
+        q -= 2
+        s = ((q - 1) & (1 - q)).bit_length() - 1
+        xs = (pow(a, (q - 1) >> s, q) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23))
+        if all(x == 1 or q - 1 in [pow(x, 1 << i, q) for i in range(s)] for x in xs):
+            yield q
+
+
+# Dense polynomials in F_p[x]: coefficient lists, constant term first, no trailing zeros.
+
+
+def _horner(row: list[int], a: int, p: int) -> int:
+    v = 0
+    for c in reversed(row):
+        v = (v * a + c) % p
+    return v
+
+
+def _gcd_rows(rows: Iterable[list[int]], p: int) -> list[int]:
+    """The GCD of the rows, stopping at a constant."""
+    g: list[int] = []
+    for row in rows:
+        if len(g) != 1:
+            g = _gcd_mod_p(list(row), g, p)
+    return g
+
+
+def _mul_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [x % p for x in out]
+
+
+def _quo_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
+    """The quotient of a by b, which divides it."""
+    a, inv, m = list(a), pow(b[-1], -1, p), len(b) - 1
+    out = [0] * (len(a) - m)
+    for s in reversed(range(len(out))):
+        c = out[s] = a[s + m] * inv % p
+        for i, y in enumerate(b):
+            a[s + i] -= c * y
     return out
 
 
-def _gcd_mod_p(a: list[int], b: list[int]) -> list[int]:
+def _gcd_mod_p(a: list[int], b: list[int], p: int = _PRIME) -> list[int]:
     """Euclid in F_p[x] on coefficient lists (constant term first, no trailing zeros)."""
-    p = _PRIME
     while b:
         inv = pow(b[-1], -1, p)
         m = len(b) - 1
@@ -909,98 +1003,3 @@ def _gcd_mod_p(a: list[int], b: list[int]) -> list[int]:
                 a.pop()
         a, b = b, a
     return a
-
-
-def _gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Euclid's algorithm on the primitive int parts: a GCD up to a unit.
-
-    Each step a <- lb*a - la*x^s*b is the Fraction step a - (la/lb)*x^s*b
-    times the nonzero integer lb, followed by dropping the integer content.
-    """
-    a, b = p._terms, q._terms
-    while b:
-        bexp = max(b)
-        lb = b[bexp]
-        while a:
-            aexp = max(a)
-            if aexp < bexp:
-                break
-            la, shift = a[aexp], aexp - bexp
-            out = {e: lb * v for e, v in a.items()}
-            get = out.get
-            for e, v in b.items():
-                e += shift
-                out[e] = get(e, 0) - la * v
-            a = {e: v for e, v in out.items() if v}
-            if a:
-                g = math.gcd(*a.values())
-                if g > 1:
-                    a = {e: v // g for e, v in a.items()}
-        a, b = b, a
-    return _make(1, a, _ONE)
-
-
-def _gcd_nonzero(p: Polynomial, q: Polynomial) -> Polynomial:
-    """A GCD of nonzero p and q up to a constant.
-
-    In one variable, Euclid.  In more, p and q are lists of coefficients in
-    the last variable: the GCD of their contents times the last nonzero
-    member of the primitive pseudo-remainder sequence of their primitive
-    parts (Collins 1967, Brown 1971).
-    """
-    n = p.nvars
-    if n == 1:
-        return _gcd_univariate(p, q)
-    f, g = _coefficients_last(p), _coefficients_last(q)
-    cf, cg = poly_gcd_many(f), poly_gcd_many(g)
-    content = poly_gcd_many([cf, cg])
-    f, g = _divided(f, cf), _divided(g, cg)
-    if len(f) < len(g):
-        f, g = g, f
-    while g:
-        r = _prem(f, g)
-        if r:
-            r = _divided(r, poly_gcd_many(r))
-        f, g = g, r
-    return _join({(i,): content * c for i, c in enumerate(f)}, n)
-
-
-def _coefficients_last(p: Polynomial) -> list[Polynomial]:
-    """C_0 .. C_d of p = sum_i C_i x_last^i (C_d nonzero), each in the other variables."""
-    parts = _split(p, p.nvars - 1)
-    zero = _make(p.nvars - 1, {}, _ONE)
-    return [parts.get((i,), zero) for i in range(max(parts)[0] + 1)]
-
-
-def _divided(parts: list[Polynomial], d: Polynomial) -> list[Polynomial]:
-    """Each entry over the monic d, which divides them all, with one rational scale making the integers coprime.
-
-    A constant d is 1, so only a d of positive degree is divided out.  The
-    scale is a unit, so no GCD changes; it keeps the integers of a
-    remainder sequence from growing from one remainder to the next.
-    """
-    if d.degree() > 0:
-        parts = [c.try_divide(d) for c in parts]
-    scales = [c._c for c in parts if c._terms]
-    scale = Fraction(
-        math.gcd(*(c.numerator for c in scales)), math.lcm(*(c.denominator for c in scales))
-    )
-    return [_make(c.nvars, c._terms, c._c / scale) if c._terms else c for c in parts]
-
-
-def _prem(f: list[Polynomial], g: list[Polynomial]) -> list[Polynomial]:
-    """The pseudo-remainder of f by g, coefficient lists with nonzero last entries, len(f) >= len(g).
-
-    Each step r <- lc(g)*r - lc(r)*x^s*g cancels the leading entry of r.
-    """
-    lg, dg = g[-1], len(g) - 1
-    r = list(f)
-    while len(r) > dg:
-        lr = r.pop()
-        s = len(r) - dg
-        r = [lg * c for c in r]
-        for i, c in enumerate(g[:-1], s):
-            r[i] -= lr * c
-        while r and not r[-1]:
-            r.pop()
-    return r

@@ -147,7 +147,8 @@ class ProjMap:
 
     @classmethod
     def from_json_list(cls, data: Sequence) -> "ProjMap":
-        if not isinstance(data, Sequence):
+        # A str is a Sequence too: "1234" would read as [[1, 2], [3, 4]].
+        if not isinstance(data, (list, tuple)):
             raise InputError(
                 f"a map is a JSON list of matrix entries, not {type(data).__name__}"
             )

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 from webfol.errors import InputError, NonGenericLineError, ValidationError
 from webfol.forms import BinaryForm, SymForm, SymTensor, _rank2
-from webfol.poly import Polynomial
+from webfol.poly import _ONE, Polynomial, _join, _make, _split
 from webfol.projective import ProjMap
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -665,3 +666,120 @@ def symbol_to_sympy(tensor: SymTensor, xs, ys):
         ),
         sympy.Integer(0),
     )
+
+
+# -- the primitive pseudo-remainder sequence: the reference GCD ------------------
+#
+# The exact GCD that webfol.poly used before its modular algorithm (Collins
+# 1967, Brown 1971), kept here as the tests' reference.  It is exponential in
+# the degree, so tests call it only on small inputs.  Its contents are its own
+# GCDs (``ref_gcd_many``), so no answer rests on the code under test.
+
+
+def ref_gcd_many(polys) -> Polynomial:
+    """GCD of a family by folding the sequence over its members, monic (zero for an all-zero family)."""
+    family = list(polys)
+    nonzero = sorted((p for p in family if not p.is_zero), key=lambda p: (p.degree(), len(p._terms)))
+    if not nonzero:
+        return family[0]
+    result = nonzero[0]
+    for p in nonzero[1:]:
+        result = _gcd_nonzero(result, p)
+        if result.degree() == 0:
+            break
+    return result.monic()
+
+
+def _gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Euclid's algorithm on the primitive int parts: a GCD up to a unit.
+
+    Each step a <- lb*a - la*x^s*b is the Fraction step a - (la/lb)*x^s*b
+    times the nonzero integer lb, followed by dropping the integer content.
+    """
+    a, b = p._terms, q._terms
+    while b:
+        bexp = max(b)
+        lb = b[bexp]
+        while a:
+            aexp = max(a)
+            if aexp < bexp:
+                break
+            la, shift = a[aexp], aexp - bexp
+            out = {e: lb * v for e, v in a.items()}
+            get = out.get
+            for e, v in b.items():
+                e += shift
+                out[e] = get(e, 0) - la * v
+            a = {e: v for e, v in out.items() if v}
+            if a:
+                g = math.gcd(*a.values())
+                if g > 1:
+                    a = {e: v // g for e, v in a.items()}
+        a, b = b, a
+    return _make(1, a, _ONE)
+
+
+def _gcd_nonzero(p: Polynomial, q: Polynomial) -> Polynomial:
+    """A GCD of nonzero p and q up to a constant.
+
+    In one variable, Euclid.  In more, p and q are lists of coefficients in
+    the last variable: the GCD of their contents times the last nonzero
+    member of the primitive pseudo-remainder sequence of their primitive
+    parts (Collins 1967, Brown 1971).
+    """
+    n = p.nvars
+    if n == 1:
+        return _gcd_univariate(p, q)
+    f, g = _coefficients_last(p), _coefficients_last(q)
+    cf, cg = ref_gcd_many(f), ref_gcd_many(g)
+    content = ref_gcd_many([cf, cg])
+    f, g = _divided(f, cf), _divided(g, cg)
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        r = _prem(f, g)
+        if r:
+            r = _divided(r, ref_gcd_many(r))
+        f, g = g, r
+    return _join({(i,): content * c for i, c in enumerate(f)}, n)
+
+
+def _coefficients_last(p: Polynomial) -> list[Polynomial]:
+    """C_0 .. C_d of p = sum_i C_i x_last^i (C_d nonzero), each in the other variables."""
+    parts = _split(p, p.nvars - 1)
+    zero = _make(p.nvars - 1, {}, _ONE)
+    return [parts.get((i,), zero) for i in range(max(parts)[0] + 1)]
+
+
+def _divided(parts: list[Polynomial], d: Polynomial) -> list[Polynomial]:
+    """Each entry over the monic d, which divides them all, with one rational scale making the integers coprime.
+
+    A constant d is 1, so only a d of positive degree is divided out.  The
+    scale is a unit, so no GCD changes; it keeps the integers of a
+    remainder sequence from growing from one remainder to the next.
+    """
+    if d.degree() > 0:
+        parts = [c.try_divide(d) for c in parts]
+    scales = [c._c for c in parts if c._terms]
+    scale = Fraction(
+        math.gcd(*(c.numerator for c in scales)), math.lcm(*(c.denominator for c in scales))
+    )
+    return [_make(c.nvars, c._terms, c._c / scale) if c._terms else c for c in parts]
+
+
+def _prem(f: list[Polynomial], g: list[Polynomial]) -> list[Polynomial]:
+    """The pseudo-remainder of f by g, coefficient lists with nonzero last entries, len(f) >= len(g).
+
+    Each step r <- lc(g)*r - lc(r)*x^s*g cancels the leading entry of r.
+    """
+    lg, dg = g[-1], len(g) - 1
+    r = list(f)
+    while len(r) > dg:
+        lr = r.pop()
+        s = len(r) - dg
+        r = [lg * c for c in r]
+        for i, c in enumerate(g[:-1], s):
+            r[i] -= lr * c
+        while r and not r[-1]:
+            r.pop()
+    return r

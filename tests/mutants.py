@@ -1,4 +1,4 @@
-"""Mutation checks for the packed monomial kernel and the GCD of webfol.poly.
+"""Mutation checks for the packed monomial kernel, the modular GCD and _ratio of webfol.poly.
 
 Each mutant is one exact edit of one source file.  The script copies src/ to
 a temporary directory, applies the edit there (the old text must occur
@@ -88,18 +88,47 @@ MUTANTS = (
         (POLY_TESTS + "test_certificate_falls_through_when_a_leading_coefficient_vanishes",),
     ),
     Mutant(
-        "pseudo-remainder step without the lc(g) scaling",
+        "trial division dropped from the modular GCD",
         "webfol/poly.py",
-        "r = [lg * c for c in r]",
-        "r = list(r)",
-        (POLY_TESTS + "test_each_content_is_computed_once_in_the_remainder_sequence",),
+        "if all(_quotient(f, candidate, guards) is not None for f in family):",
+        "if True:",
+        (POLY_TESTS + "test_a_stable_candidate_from_unlucky_primes_is_refused",),
     ),
     Mutant(
-        "pseudo-remainders not made primitive",
+        "CRT stopping one prime early",
         "webfol/poly.py",
-        "r = _divided(r, poly_gcd_many(r))",
-        "r = r",
-        (POLY_TESTS + "test_each_content_is_computed_once_in_the_remainder_sequence",),
+        "complete = modulus > bound",
+        "complete = modulus * _PRIME > bound",
+        (POLY_TESTS + "test_the_crt_runs_to_the_coefficient_bound",),
+    ),
+    Mutant(
+        "larger-leading-monomial check dropped at the points",
+        "webfol/poly.py",
+        "        image = _gcd_mod([f for f in images if f], m - 1, p)\n"
+        "        new = max(image)\n"
+        "        if ceiling is not None and new >= ceiling or lead is not None and new > lead:\n",
+        "        image = _gcd_mod([f for f in images if f], m - 1, p)\n"
+        "        new = max(image)\n"
+        "        if ceiling is not None and new >= ceiling:\n",
+        (POLY_TESTS + "test_unlucky_evaluation_points_are_dropped",),
+    ),
+    Mutant(
+        "larger-leading-monomial check dropped at the primes",
+        "webfol/poly.py",
+        "        image = _gcd_mod([f for f in images if f], n, p)\n"
+        "        new = max(image)\n"
+        "        if ceiling is not None and new >= ceiling or lead is not None and new > lead:\n",
+        "        image = _gcd_mod([f for f in images if f], n, p)\n"
+        "        new = max(image)\n"
+        "        if ceiling is not None and new >= ceiling:\n",
+        (POLY_TESTS + "test_an_unlucky_prime_is_dropped",),
+    ),
+    Mutant(
+        "ring check dropped from _ratio",
+        "webfol/poly.py",
+        "    if p.nvars != q.nvars:\n        return None\n    if not p._terms:",
+        "    if not p._terms:",
+        (POLY_TESTS + "test_split_and_join_are_inverse",),
     ),
 )
 

@@ -559,3 +559,36 @@ def test_help_lists_all_commands():
         "ktransform", "reduced", "bounds", "duality",
     ):
         assert command in r.stdout
+
+
+def test_a_map_file_holding_a_string_is_an_input_error(tmp_path):
+    # A str is a sequence, so "1234" read as the matrix [[1, 2], [3, 4]].
+    bad = tmp_path / "string.json"
+    bad.write_text('"1234"')
+    for args in (("validate", "--map", str(bad)), ("preserves", "--form", fx("example.json"), "--map", str(bad))):
+        r = run_cli(*args)
+        assert r.returncode == 2, r.stderr
+        doc = json.loads(r.stdout)
+        assert doc["error"] == "input_error" and "not str" in doc["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("squarefree", "--form", "example.json", "--count", "-3"),
+        ("squarefree", "--form", "example.json", "--count", "0"),
+        ("hij", "--form", "radial.json", "--count", "-1"),
+        ("squarefree", "--form", "example.json", "--points", ";"),
+        ("hij", "--form", "radial.json", "--points", ""),
+    ],
+    ids=["squarefree-count-negative", "squarefree-count-zero", "hij-count", "squarefree-points", "hij-points"],
+)
+def test_an_empty_point_set_is_an_input_error(capsys, argv):
+    # "all_squarefree": true over no point, and an empty system, exited 0.
+    from webfol import cli
+
+    argv = [fx(a) if a.endswith(".json") else a for a in argv]
+    assert cli.main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "input_error"
+    assert cli.main([*argv[:-2], "--count", "1"]) in (0, 1)
+    capsys.readouterr()

@@ -13,15 +13,15 @@ from webfol import poly
 from webfol.blowup import LocalFoliation
 from webfol.forms import SymForm
 from webfol.poly import (
+    _PRIME,
     Polynomial,
-    _gcd_by_evaluation,
     _gcd_degree_bounds,
-    _gcd_nonzero,
+    _gcd_ints,
+    _primes,
     _join,
     _ratio,
     _relabel,
     _split,
-    _verified_gcd,
     poly_gcd,
     poly_gcd_many,
 )
@@ -32,6 +32,7 @@ from helpers import (
     kernel_invariants_hold,
     ref_add,
     ref_compose,
+    ref_gcd_many,
     ref_mul,
     ref_pack,
     ref_partial,
@@ -648,31 +649,26 @@ def test_degree_bounds_bound_the_gcd_and_see_a_planted_factor(family):
 def test_planted_families_agree_with_sympy(family):
     expected, _ = _sympy_gcd(family)
     pair = _sympy_gcd(family[:2])[0]
-    if family[0].nvars == 4:
-        # The fast path only: on some 4-variable families it falls back to
-        # the exact remainder sequence, which can run for minutes there.
-        for members, gcd in ((family, expected), (family[:2], pair)):
-            verified = _verified_gcd(members)
-            assert verified is None or verified == gcd
-        return
-    assert poly_gcd_many(family) == expected == _exact_gcd(family)
+    assert poly_gcd_many(family) == expected
     assert poly_gcd(family[0], family[1]) == pair
+    if family[0].nvars < 4:
+        # The reference remainder sequence can run for minutes in 4 variables.
+        assert expected == ref_gcd_many(family)
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, name, limit=None):
+    """Record the calls of poly.<name>; past ``limit`` calls, fail instead of running on."""
     calls = []
     real = getattr(poly, name)
 
     def counted(*args):
         calls.append(args)
+        if limit is not None and len(calls) > limit:
+            raise AssertionError(f"{name} called more than {limit} times")
         return real(*args)
 
     monkeypatch.setattr(poly, name, counted)
     return calls
-
-
-def _remainder_sequence_must_not_run(p, q):
-    raise AssertionError("the exact remainder sequence was called")
 
 
 def test_a_common_factor_in_four_variables_is_found_by_evaluation(monkeypatch):
@@ -691,51 +687,26 @@ def test_a_common_factor_in_four_variables_is_found_by_evaluation(monkeypatch):
         - 4 * x * y * z**3
     )
     h = -Fraction(3, 4) * x**3 * y * w**3 - 3 * x**2 * y**2 * z * w**2 - x * z**2 * w**3
-    # A call of the sequence fails the test at once instead of running on.
-    monkeypatch.setattr(poly, "_gcd_nonzero", _remainder_sequence_must_not_run)
-    evaluations = _counting(monkeypatch, "_gcd_by_evaluation")
+    # The CRT stops after two images at most: one prime, and one to confirm.
+    images = _counting(monkeypatch, "_gcd_mod", limit=10 ** 4)
     result = poly_gcd(f * g, f * h)
     assert result == _sympy_gcd([f * g, f * h])[0] == (x * f).monic()
-    assert len(evaluations) == 1
+    assert 1 <= _primes_tried(images, 4) <= 2
 
 
-def test_evaluation_keeps_the_integer_content_of_each_level(monkeypatch):
-    # At y = xi the members are the integers (3 xi - 2) * 3 xi^2 and
-    # (3 xi - 2) * -2, whose common content is the image of the factor: it
-    # must come back from the level below, or the candidate is 1.
+def _primes_tried(calls, nvars):
+    """The top-level calls among those of ``_gcd_mod``: one per prime."""
+    return sum(1 for _, m, _ in calls if m == nvars)
+
+
+def test_evaluation_keeps_the_integer_content_of_each_level():
+    # In F_p[x][y] both members lie in the content ring F_p[y]: every image
+    # is a constant, and the GCD (3y - 2 up to a unit) is the GCD of the
+    # members' contents in y, which must be put back on the candidate.
     x, y = Polynomial.variables(2)
     p, q = 9 * y ** 3 - 6 * y ** 2, -6 * y + 4
-    remainder_sequences = _counting(monkeypatch, "_gcd_nonzero")
     assert poly_gcd(p, q) == y - Fraction(2, 3)
-    assert remainder_sequences == []
-
-
-def test_a_candidate_below_the_degree_bounds_is_refused(monkeypatch):
-    # The candidate f1 divides both members but misses the factor f2, so its
-    # degrees fall short of the bounds and the remainder sequence answers.
-    x, y = Polynomial.variables(2)
-    f1, f2 = x + 2 * y + 1, x * y - 3
-    p, q = f1 * f2 * (x ** 2 + y), f1 * f2 * (y ** 2 - x + 5)
-    assert _gcd_degree_bounds([p, q]) == [2, 2]
-    # The stub answers in the two-variable ring only; the recursion's
-    # one-variable GCDs get no candidate.
-    monkeypatch.setattr(
-        poly, "_heu_gcd", lambda family, m, budget: dict(f1._terms) if m == 2 else None
-    )
-    remainder_sequences = _counting(monkeypatch, "_gcd_nonzero")
-    assert _gcd_by_evaluation([p, q], [2, 2]) is None
-    assert poly_gcd(p, q) == (f1 * f2).monic()
-    assert remainder_sequences
-
-
-def _exact_gcd(family):
-    nonzero = [p for p in family if not p.is_zero]
-    if not nonzero:
-        return family[0]
-    result = nonzero[0].monic()
-    for p in nonzero[1:]:
-        result = _gcd_nonzero(result, p).monic()
-    return result
+    assert poly_gcd(x * p, x ** 2 * q) == x * y - Fraction(2, 3) * x
 
 
 # Three variables at most: on some planted 4-variable pairs of this size the
@@ -751,9 +722,9 @@ def test_gcd_agrees_with_the_exact_path(data):
     # passes and falls through.
     factor, members = data
     for family in (members, [factor * m for m in members]):
-        assert poly_gcd_many(family) == _exact_gcd(family)
+        assert poly_gcd_many(family) == ref_gcd_many(family)
         if len(family) >= 2:
-            assert poly_gcd(family[0], family[1]) == _exact_gcd(family[:2])
+            assert poly_gcd(family[0], family[1]) == ref_gcd_many(family[:2])
 
 
 def test_certificate_falls_through_when_a_leading_coefficient_vanishes():
@@ -768,12 +739,11 @@ def test_certificate_falls_through_when_a_leading_coefficient_vanishes():
 
 def test_certificate_falls_through_when_coprime_images_coincide():
     # At y = 3 both images in x are x - 9; in y they are 2 - y^2 and 2 - 3y.
-    # The bound 1 in x is not tight, so the evaluation's constant candidate
-    # is refused as well.
+    # The bound 1 in x is not tight, so the modular GCD answers.
     x, y = Polynomial.variables(2)
     p, q = x - y ** 2, x - 3 * y
     assert _gcd_degree_bounds([p, q]) == [1, 0]
-    assert _gcd_by_evaluation([p, q], [1, 0]) is None
+    assert _gcd_ints([p._terms, q._terms], 2) in ({0: 1}, {0: -1})
     assert poly_gcd(p, q) == 1
     assert poly_gcd_many([p, q]) == 1
 
@@ -791,10 +761,9 @@ def _germ(degree, a, b):
 
 
 def test_coprime_inputs_never_reach_the_remainder_sequence(monkeypatch):
-    # Exact PRS took past 30 s on each of these; the degree bounds, all 0,
-    # answer them before the evaluation path or the sequence.
-    remainder_sequences = _counting(monkeypatch, "_gcd_nonzero")
-    evaluations = _counting(monkeypatch, "_gcd_by_evaluation")
+    # The exact PRS took past 30 s on each of these; the degree bounds, all
+    # 0, answer them before any modular image.
+    images = _counting(monkeypatch, "_gcd_ints")
     for degree in (20, 40):
         LocalFoliation(_germ(degree, 3, 5), _germ(degree, 7, 2))
     x, y, z = Polynomial.variables(3)
@@ -802,32 +771,121 @@ def test_coprime_inputs_never_reach_the_remainder_sequence(monkeypatch):
     cross = [v[(i + 1) % 3] * w[(i + 2) % 3] - v[(i + 2) % 3] * w[(i + 1) % 3] for i in range(3)]
     form = SymForm(2, 1, {(1, 0, 0): cross[0], (0, 1, 0): cross[1], (0, 0, 1): cross[2]})
     assert form.degree == 1200
-    assert evaluations == [] and remainder_sequences == []
+    assert images == []
     assert poly_gcd(x * y, x * z) == x
-    assert len(evaluations) == 1 and remainder_sequences == []
+    assert len(images) == 1
 
 
-def test_each_content_is_computed_once_in_the_remainder_sequence(monkeypatch):
-    # In two variables the contents are univariate, so every poly_gcd_many
-    # call is the top-level sequence's own: one content for each input, one
-    # GCD of the two, and one content for each nonzero pseudo-remainder made
-    # primitive.  The inputs' contents used to be computed twice, and the
-    # result's once more.
+# -- the modular GCD against the references ------------------------------------
+
+
+@st.composite
+def hard_planted_families(draw):
+    """Planted families f*g_i in 1-4 variables, each with some of the cases the modular GCD must handle.
+
+    - a power of the last variable on the factor and on the members, which a
+      homogeneous family keeps after setting that variable to 1;
+    - a leading coefficient (y - 1)(y - 2) in the last variable y, whose
+      roots are the first two evaluation points;
+    - a coefficient above 2^61, so that the CRT needs a second prime.
+    """
+    nvars = draw(st.integers(min_value=1, max_value=4))
+    xs = Polynomial.variables(nvars)
+    y = xs[-1]
+    f = draw(polynomials(nvars))
+    members = draw(st.lists(polynomials(nvars), min_size=2, max_size=3))
+    assume(f.degree() >= 1 and all(not g.is_zero for g in members))
+    if draw(st.booleans()):
+        f = f * y ** draw(st.integers(min_value=1, max_value=3))
+        members = [g * y ** draw(st.integers(min_value=0, max_value=2)) for g in members]
+    if nvars > 1 and draw(st.booleans()):
+        f = f * ((y - 1) * (y - 2) * xs[0] ** 4 + xs[0] + 1)
+    if draw(st.booleans()):
+        f = f + (2 ** 61 + draw(st.integers(min_value=1, max_value=2 ** 8))) * xs[0] ** 4
+    return [f * g for g in members]
+
+
+@settings(max_examples=120, deadline=None)
+@given(hard_planted_families())
+def test_brown_agrees_with_the_references_on_planted_families(family):
+    expected, _ = _sympy_gcd(family)
+    assert poly_gcd_many(family) == expected
+    if family[0].nvars <= 2:
+        assert expected == ref_gcd_many(family)
+    if family[0].nvars <= 3:
+        # Homogenised, the family is set to x_n = 1 before the modular GCD.
+        homogeneous = [_homogenised(p) for p in family]
+        assert poly_gcd_many(homogeneous) == _sympy_gcd(homogeneous)[0]
+
+
+def _homogenised(p):
+    """x_n^deg(p) * p(x_0 / x_n, ..., x_{n-1} / x_n) in one more variable."""
+    d = p.degree()
+    return Polynomial(p.nvars + 1, {e + (d - sum(e),): c for e, c in p.terms()})
+
+
+def test_the_crt_runs_to_the_coefficient_bound(monkeypatch):
+    # The GCD x + c with c above 2^61 needs two primes: after the first the
+    # candidate x + (c mod p) is wrong, and only the coefficient bound tells
+    # the CRT to go on rather than to give the run up.
+    (x,) = Polynomial.variables(1)
+    c = 2 ** 62 + 12345
+    primes = _counting(monkeypatch, "_gcd_mod", limit=10)
+    assert poly_gcd((x + c) * (x + 1), (x + c) * (x + 2)) == x + c
+    assert len(primes) == 2
+
+
+def test_a_stable_candidate_from_unlucky_primes_is_refused(monkeypatch):
+    # Modulo the first two primes p1 and p2 the cofactors x + p1*p2 and
+    # x + 2*p1*p2 agree, so both images are f*x: the CRT leaves that
+    # candidate unchanged below the coefficient bound, and only the trial
+    # division refuses it.  The next two primes give f.  The multiples of
+    # p1*p2 stay off the leading terms, which would make gamma skip p1, p2.
     x, y = Polynomial.variables(2)
-    f = x * y + 2 * y ** 2 - 3
-    p, q = f * (x ** 2 * y - y + 1), f * (x * y ** 2 + 2 * x - 5)
-    remainders = []
-    prem = poly._prem
+    primes = _primes()
+    p1, p2 = next(primes), next(primes)
+    f = x * y + 3 * y ** 2 - 7
+    images = _counting(monkeypatch, "_gcd_mod", limit=10 ** 3)
+    assert poly_gcd(f * (x + p1 * p2), f * (x + 2 * p1 * p2)) == f.monic()
+    assert _primes_tried(images, 2) == 4
 
-    def counted_prem(a, b):
-        r = prem(a, b)
-        if r:
-            remainders.append(r)
-        return r
 
-    monkeypatch.setattr(poly, "_prem", counted_prem)
-    contents = _counting(monkeypatch, "poly_gcd_many")
-    primitive_parts = _counting(monkeypatch, "_divided")
-    assert _gcd_nonzero(p, q).monic() == f.monic()
-    assert remainders and len(contents) == 3 + len(remainders)
-    assert len(primitive_parts) == 2 + len(remainders)
+def test_an_unlucky_prime_is_dropped(monkeypatch):
+    # Modulo 2^61 - 1 the cofactors x + (2^61 - 1) y and x agree, so the
+    # first image has a larger leading monomial than the GCD f, and the
+    # second prime restarts the run.  Modulo the second prime p2 the
+    # cofactors x + p2 and x + 2 p2 agree: that image comes after a lucky
+    # one and must be dropped, or the run never gives f.
+    x, y = Polynomial.variables(2)
+    f = 5 * x ** 2 - y + 2
+    family = [f * (x + _PRIME * y), f * x, f * (x + 3 * _PRIME * y ** 2)]
+    assert poly_gcd_many(family) == f.monic() == _sympy_gcd(family)[0]
+    primes = _primes()
+    p2 = (next(primes), next(primes))[1]
+    images = _counting(monkeypatch, "_gcd_mod", limit=10 ** 3)
+    assert poly_gcd(f * (x + p2), f * (x + 2 * p2)) == f.monic()
+    assert _primes_tried(images, 2) == 3
+
+
+def test_unlucky_evaluation_points_are_dropped(monkeypatch):
+    # x - y^2 and x - 3y + 2 agree at y = 1 and y = 2, and x - y^2 and x - 3y
+    # at y = 3: images there have a larger leading monomial than the GCD's.
+    x, y = Polynomial.variables(2)
+    f = x + y ** 3 + 1
+    # A run that takes an unlucky image never ends; the limit stops it.
+    points = _counting(monkeypatch, "_gcd_mod", limit=200)
+    assert poly_gcd(f * (x - y ** 2), f * (x - 3 * y + 2)) == f.monic()
+    assert poly_gcd(f * (x - y ** 2), f * (x - 3 * y)) == f.monic()
+    assert poly_gcd(x - y ** 2, x - 3 * y + 2) == 1
+    assert points
+
+
+def test_a_vanishing_leading_coefficient_skips_its_points():
+    # The leading coefficient in x is (y - 1)(y - 2)(y - 3), so the first
+    # three points are skipped; ROADMAP's probe shape at a small degree.
+    x, y = Polynomial.variables(2)
+    lc = (y - 1) * (y - 2) * (y - 3)
+    f = x * y - 2 * y ** 2 + 3
+    u, v = x + lc * (y ** 2 + 2 * x * y), x + lc * (3 * x ** 2 - y)
+    assert poly_gcd(u, v) == 1 == ref_gcd_many([u, v])
+    assert poly_gcd(f * u, f * v) == f.monic() == ref_gcd_many([f * u, f * v])
