@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import decimal
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 from .errors import ComputationError, InputError
+from .poly import unlimited_digits
 
 # log10(2) to 32 places as an exact rational; the fractional parts of
 # bits*log10(2) stay far enough from integers for any feasible bit length
@@ -102,20 +102,9 @@ def check_report_size(base: int, exponent: int) -> None:
 
 
 def int_to_decimal(n: int) -> str:
-    """Decimal string of an integer of any size.
-
-    Temporarily lifts the interpreter's int-to-str digit limit when the value
-    is too large for the default cap.
-    """
-    try:
+    """Decimal string of an integer of any size, past the interpreter's int-string limit."""
+    with unlimited_digits():
         return str(n)
-    except ValueError:
-        old = sys.get_int_max_str_digits()
-        try:
-            sys.set_int_max_str_digits(0)
-            return str(n)
-        finally:
-            sys.set_int_max_str_digits(old)
 
 
 def power_to_decimal(base: int, exponent: int) -> str:

@@ -16,7 +16,9 @@ Identical inputs always produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -42,7 +44,7 @@ from .forms import (
     proportionality_constant,
     restrict_to_line,
 )
-from .poly import Polynomial
+from .poly import Polynomial, load_json, read_fraction, read_int, unlimited_digits
 from .projective import (
     DEFAULT_CLOSURE_CAP,
     ProjMap,
@@ -63,12 +65,9 @@ EXIT_FALSE = 1
 def _load_json(path: str):
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    return load_json(text, path)
 
 
 def parse_form(path: str) -> SymForm:
@@ -83,36 +82,17 @@ def parse_local(path: str) -> LocalFoliation:
     return LocalFoliation.from_json_dict(_load_json(path))
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational number {text!r}") from exc
-
-
-def _parse_int(text: str) -> int:
-    """Integer option value, refused as ``bad integer`` (``type=int`` words it differently)."""
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise InputError(f"bad integer {text!r}") from exc
-
-
-def _parse_point(text: str, n: int) -> tuple[Fraction, ...]:
-    parts = [p for p in text.split(",") if p.strip()]
+def _parse_point(text: str, n: int, option: str) -> tuple[Fraction, ...]:
+    parts = [p.strip() for p in text.split(",") if p.strip()]
     if len(parts) != n:
         raise InputError(f"point {text!r} needs {n} comma-separated coordinates")
-    return tuple(_parse_fraction(p) for p in parts)
-
-
-def _parse_points(text: str, n: int) -> list[tuple[Fraction, ...]]:
-    return [_parse_point(chunk, n) for chunk in text.split(";") if chunk.strip()]
+    return tuple(read_fraction(p, option) for p in parts)
 
 
 def _sample_points(args, form: SymForm) -> list[tuple[Fraction, ...]]:
     """The --points, else the first --count schedule points; an empty set is refused."""
     if args.points is not None:
-        points = _parse_points(args.points, form.ndiff)
+        points = [_parse_point(c, form.ndiff, "--points") for c in args.points.split(";") if c.strip()]
         if not points:
             raise InputError(f"--points {args.points!r} gives no point")
         return points
@@ -122,17 +102,17 @@ def _sample_points(args, form: SymForm) -> list[tuple[Fraction, ...]]:
 
 
 def _variable_index(name: str, n: int) -> int:
-    aliases = {"x": 0, "y": 1, "z": 2, "w": 3}
-    if name in aliases and aliases[name] < n:
-        return aliases[name]
-    match = re.fullmatch(r"x(\d+)", name)
-    if match and int(match.group(1)) < n:
-        return int(match.group(1))
-    raise InputError(f"unknown variable {name!r} for {n} coordinates")
+    index = {"x": 0, "y": 1, "z": 2, "w": 3}.get(name)
+    if index is None and re.fullmatch(r"x[0-9]+", name):
+        index = read_int(name[1:], "--field")
+    if index is None or index >= n:
+        raise InputError(f"unknown variable {name!r} for {n} coordinates")
+    return index
 
 
 _TERM_RE = re.compile(
-    r"^\s*(?P<coef>\d+(?:/\d+)?)?\s*\*?\s*(?P<var>[A-Za-z]\w*?)?\s*d/d(?P<dvar>[A-Za-z]\w*)\s*$"
+    r"^\s*(?P<sign>-?)\s*(?P<coef>[0-9]+(?:/[0-9]+)?)?\s*\*?"
+    r"\s*(?P<var>[A-Za-z]\w*?)?\s*d/d(?P<dvar>[A-Za-z]\w*)\s*$"
 )
 
 
@@ -148,15 +128,10 @@ def parse_field_shorthand(text: str, n: int) -> list[Polynomial]:
     if not chunks:
         raise InputError("empty vector field expression")
     for chunk in chunks:
-        sign = Fraction(1)
-        if chunk.startswith("-"):
-            sign = Fraction(-1)
-            chunk = chunk[1:].strip()
         match = _TERM_RE.match(chunk)
         if not match:
             raise InputError(f"cannot parse field term {chunk!r}")
-        coef = Fraction(match.group("coef")) if match.group("coef") else Fraction(1)
-        poly = Polynomial.constant(n, sign * coef)
+        poly = Polynomial.constant(n, read_fraction(match["sign"] + (match["coef"] or "1"), "--field"))
         if match.group("var"):
             poly = poly * Polynomial.variable(n, _variable_index(match.group("var"), n))
         slot = _variable_index(match.group("dvar"), n)
@@ -166,13 +141,9 @@ def parse_field_shorthand(text: str, n: int) -> list[Polynomial]:
 
 def parse_field(value: str, n: int) -> list[Polynomial]:
     """Vector field from shorthand text, inline JSON, or a JSON file path."""
-    candidate = Path(value)
     if value.lstrip().startswith("["):
-        try:
-            data = json.loads(value)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"--field: invalid JSON: {exc}") from exc
-    elif candidate.is_file():
+        data = load_json(value, "--field")
+    elif os.path.isfile(value):  # False, not OSError, for a shorthand too long to be a path
         data = _load_json(value)
     else:
         return parse_field_shorthand(value, n)
@@ -183,7 +154,7 @@ def parse_field(value: str, n: int) -> list[Polynomial]:
 
 def _parse_matrix_inline(text: str) -> list[list[Fraction]]:
     rows = [r for r in text.split(";") if r.strip()]
-    return [[_parse_fraction(v) for v in row.split(",")] for row in rows]
+    return [[read_fraction(v.strip(), "--matrix") for v in row.split(",")] for row in rows]
 
 
 # -- output ---------------------------------------------------------------------
@@ -309,8 +280,7 @@ def _cmd_restrict(args) -> tuple[int, dict]:
     chunks = args.line.split(";")
     if len(chunks) != 2:
         raise InputError("--line expects 'p;q' with two comma-separated points")
-    p = _parse_point(chunks[0], form.ndiff)
-    q = _parse_point(chunks[1], form.ndiff)
+    p, q = (_parse_point(chunk, form.ndiff, "--line") for chunk in chunks)
     binary = restrict_to_line(form, p, q)
     return EXIT_OK, binary.to_json_dict()
 
@@ -405,10 +375,7 @@ def _cmd_bounds(args) -> tuple[int, dict | list]:
 
 
 def _cmd_duality(args) -> tuple[int, dict]:
-    try:
-        values = [int(v) for v in args.values.split(",") if v.strip()]
-    except ValueError as exc:
-        raise InputError(f"--values: {exc}") from exc
+    values = [read_int(v.strip(), "--values") for v in args.values.split(",") if v.strip()]
     numbers = bounds_mod.CharNumbers(values=tuple(values), N=len(values))
     dual = bounds_mod.duality_transform(numbers)
     return EXIT_OK, {
@@ -440,6 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         return p
+
+    def integer(p, option, **kwargs):
+        p.add_argument(option, type=functools.partial(read_int, field=option), **kwargs)
 
     p = add("validate", _cmd_validate, "validate a form, map, or local foliation file")
     p.add_argument("--form")
@@ -475,37 +445,37 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("squarefree", _cmd_squarefree, "pointwise square-freeness of the web form")
     p.add_argument("--form", required=True)
     p.add_argument("--points", help="semicolon-separated points; default schedule")
-    p.add_argument("--count", type=_parse_int, default=3, help="schedule points to use")
+    integer(p, "--count", default=3, help="schedule points to use")
 
     p = add("hij", _cmd_hij, "polynomial system in matrix entries cutting the symmetries")
     p.add_argument("--form", required=True)
     p.add_argument("--points", help="semicolon-separated sample points")
-    p.add_argument("--count", type=_parse_int, default=3, help="schedule points to use")
+    integer(p, "--count", default=3, help="schedule points to use")
     p.add_argument("--format", choices=["json", "text"], default="json")
 
     p = add("closure", _cmd_closure, "finite closure of verified generators")
     p.add_argument("--form", required=True)
     p.add_argument("--map", action="append", required=True, help="generator file (repeatable)")
-    p.add_argument("--cap", type=_parse_int, default=DEFAULT_CLOSURE_CAP)
+    integer(p, "--cap", default=DEFAULT_CLOSURE_CAP)
 
     p = add("blowup", _cmd_blowup, "single blow-up of a plane foliation at the origin")
     p.add_argument("--local", required=True)
 
     p = add("ktransform", _cmd_ktransform, "intersection numbers across one blow-up")
-    p.add_argument("--kf2", type=_parse_int, required=True)
-    p.add_argument("--kfkx", type=_parse_int, required=True)
-    p.add_argument("--l", type=_parse_int, required=True, help="vanishing order along E")
+    integer(p, "--kf2", required=True)
+    integer(p, "--kfkx", required=True)
+    integer(p, "--l", required=True, help="vanishing order along E")
 
     p = add("reduced", _cmd_reduced, "reduced-singularity test on a linear part")
     p.add_argument("--matrix", help="2x2 matrix 'a,b;c,d'")
     p.add_argument("--local", help="local foliation file (uses its linear part)")
 
     p = add("bounds", _cmd_bounds, "exact order bounds")
-    p.add_argument("--kf2", type=_parse_int, action="append")
-    p.add_argument("--kfkx", type=_parse_int, action="append")
-    p.add_argument("--d", type=_parse_int)
-    p.add_argument("--k", type=_parse_int)
-    p.add_argument("--n", type=_parse_int)
+    integer(p, "--kf2", action="append")
+    integer(p, "--kfkx", action="append")
+    integer(p, "--d")
+    integer(p, "--k")
+    integer(p, "--n")
     p.add_argument("--full-digits", action="store_true", dest="full_digits")
 
     p = add("duality", _cmd_duality, "characteristic numbers of the dual pair")
@@ -534,19 +504,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = None
-    try:
-        args = parser.parse_args(_attach_signed_values(argv))
-        code, document = args.handler(args)
-    except (InputError, ComputationError) as exc:
-        # A refused command line fails inside parse_args, before ``args`` exists.
-        table = args.table if args is not None else "--table" in argv
-        _emit({"error": exc.code, "message": str(exc)}, table)
-        return exc.exit_code
-    if isinstance(document, str):
-        sys.stdout.write(document)
-    else:
-        _emit(document, args.table)
-    return code
+    # The readers bound every text-to-int conversion, so any exact answer may print.
+    with unlimited_digits():
+        try:
+            args = parser.parse_args(_attach_signed_values(argv))
+            code, document = args.handler(args)
+        except (InputError, ComputationError) as exc:
+            # A refused command line fails inside parse_args, before ``args`` exists.
+            table = args.table if args is not None else "--table" in argv
+            _emit({"error": exc.code, "message": str(exc)}, table)
+            return exc.exit_code
+        if isinstance(document, str):
+            sys.stdout.write(document)
+        else:
+            _emit(document, args.table)
+        return code
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ from .errors import (
     SingularPointError,
     ValidationError,
 )
-from .poly import Polynomial, Scalar, _join, _ratio, _relabel, _split, poly_gcd_many
+from .poly import Polynomial, Scalar, _join, _ratio, _relabel, _split, poly_gcd_many, read_int
 
 MultiIndex = tuple[int, ...]
 
@@ -352,15 +352,14 @@ class SymForm(SymTensor):
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SymForm":
         try:
-            N = int(data["N"])
-            k = int(data["k"])
+            N = read_int(data["N"], "N")
+            k = read_int(data["k"], "k")
             coeffs = {
-                tuple(int(i) for i in entry["dmono"]): Polynomial.from_json_dict(
-                    entry["poly"]
-                )
+                tuple([read_int(i, "dmono") for i in entry["dmono"]]):
+                Polynomial.from_json_dict(entry["poly"])
                 for entry in data["coeffs"]
             }
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise InputError(f"malformed form JSON: {exc}") from exc
         return cls(N, k, coeffs)
 
@@ -622,7 +621,8 @@ def generic_sample_points(form: SymTensor, count: int) -> list[tuple[Fraction, .
     schedule = sample_schedule(N, windows) if windows > 0 else []
     chosen = list(
         itertools.islice(
-            (p for p in schedule if not specialise_at_point(form, p).is_zero), count
+            (p for p in schedule if not specialise_at_point(form, p).is_zero),
+            min(count, len(schedule)),
         )
     )
     if len(chosen) < count:

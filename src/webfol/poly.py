@@ -20,8 +20,8 @@ Everything is exact: no floating point appears anywhere, and all normal
 forms are deterministic.  The canonical term order is graded lexicographic
 with x0 < x1 < ... (compare total degree first, then the exponent vector
 read from the last variable down).  Serialisation lists terms in descending
-canonical order with numerators and denominators as decimal strings, so
-files survive any integer size.
+canonical order with numerators and denominators as decimal strings, read
+back, like every number that arrives as text, by ``read_int``.
 
 Monomials are graded packed exponent vectors (Monagan and Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -49,9 +49,12 @@ modulo primes and at points, Newton interpolation, the CRT, trial division.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import json
 import math
 import struct
+import sys
 from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -116,29 +119,12 @@ class Polynomial:
 
     __slots__ = ("nvars", "_terms", "_c", "_hash")
 
-    def __init__(self, nvars: int, terms: Optional[Mapping[Exponent, Scalar]] = None):
-        if not isinstance(nvars, int) or nvars < 1:
-            raise InputError(f"nvars must be a positive integer, got {nvars!r}")
-        clean: dict[int, Fraction] = {}
-        pack = _codec(nvars)[1].pack
+    def __new__(cls, nvars: int, terms: Optional[Mapping[Exponent, Scalar]] = None):
+        ratios = {}
         for exp, coeff in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != nvars or any(e < 0 for e in exp):
-                raise InputError(f"bad exponent vector {exp} for nvars={nvars}")
-            degree = sum(exp)
-            _check_degree(degree)
             c = Fraction(coeff)
-            if c:
-                clean[int.from_bytes(pack(*exp, degree), "little")] = c
-        den = math.lcm(*(c.denominator for c in clean.values()))
-        ints = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
-        g = math.gcd(*ints.values())
-        if g > 1:
-            ints = {e: v // g for e, v in ints.items()}
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", ints)
-        object.__setattr__(self, "_c", Fraction(g, den) if ints else _ONE)
-        object.__setattr__(self, "_hash", None)
+            ratios[tuple(int(e) for e in exp)] = c.numerator, c.denominator
+        return _from_ratios(nvars, ratios)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -456,14 +442,15 @@ class Polynomial:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Polynomial":
         try:
-            nvars = int(data["nvars"])
-            terms = {
-                tuple(int(e) for e in t["exp"]): Fraction(int(t["num"]), int(t["den"]))
+            nvars = read_int(data["nvars"], "nvars")
+            ratios = {
+                tuple([read_int(e, "exp") for e in t["exp"]]):
+                (read_int(t["num"], "num"), read_int(t["den"], "den"))
                 for t in data["terms"]
             }
-        except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError) as exc:
             raise InputError(f"malformed polynomial JSON: {exc}") from exc
-        return cls(nvars, terms)
+        return _from_ratios(nvars, ratios)
 
     # -- rendering ------------------------------------------------------------------
 
@@ -504,6 +491,73 @@ def _default_names(nvars: int) -> list[str]:
     if nvars <= 4:
         return ["x", "y", "z", "w"][:nvars]
     return [f"x{i}" for i in range(nvars)]
+
+
+def _from_ratios(nvars: int, ratios: Mapping[Exponent, tuple[int, int]]) -> Polynomial:
+    """The sum of num/den * x^exp over ``ratios``, after checking nvars, the exponents and den."""
+    if not isinstance(nvars, int) or nvars < 1:
+        raise InputError(f"nvars must be a positive integer, got {nvars!r}")
+    clean: dict[int, tuple[int, int]] = {}
+    for exp, (num, den) in ratios.items():
+        if len(exp) != nvars or min(exp) < 0:
+            raise InputError(f"bad exponent vector {exp} for nvars={nvars}")
+        _check_degree(sum(exp))
+        if not den:
+            raise InputError(f"den: zero denominator at exponent {exp}")
+        if num:
+            clean[_pack(nvars, exp)] = num, den
+    den = math.lcm(*(d for _, d in clean.values()))
+    return _primitive(nvars, {e: n * (den // d) for e, (n, d) in clean.items()}, Fraction(1, den))
+
+
+# -- numbers and JSON from outside -------------------------------------------------
+
+# Digits allowed in each integer read from text, whatever the interpreter's own
+# int-string limit: text-to-int conversion is quadratic in the digit count.
+MAX_DIGITS = 4300
+
+
+def read_int(value, field: str) -> int:
+    """The integer a JSON integer or a string -?[0-9]+ spells; anything else is an ``InputError``."""
+    if type(value) is int:  # not bool
+        return value
+    digits = value.removeprefix("-") if type(value) is str else ""
+    if not (len(digits) <= MAX_DIGITS and digits.isascii() and digits.isdigit()):
+        text = f"a {type(value).__name__}" if isinstance(value, (list, dict)) else repr(value)
+        raise InputError(f"{field}: bad integer {text if len(text) <= 40 else text[:37] + '...'}")
+    try:
+        return int(value)
+    except ValueError:  # the interpreter's own limit is below MAX_DIGITS
+        with unlimited_digits():
+            return int(value)
+
+
+def read_fraction(value, field: str) -> Fraction:
+    """What read_int reads, or a string of two such integers n/d with d > 0."""
+    num, _, den = value.partition("/") if type(value) is str and "/" in value else (value, "", 1)
+    n, d = read_int(num, field), read_int(den, field)
+    if d < 1:
+        raise InputError(f"{field}: zero or negative denominator in {value[:40]!r}")
+    return Fraction(n, d)
+
+
+def load_json(text: str, source: str):
+    """A JSON document from outside; integer literals meet read_int's digit budget."""
+    try:
+        return json.loads(text, parse_int=functools.partial(read_int, field=source))
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{source}: invalid JSON: {exc}") from exc
+
+
+@contextlib.contextmanager
+def unlimited_digits():
+    """Lift the interpreter's int-string digit limit, so any exact integer prints."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 # -- trusted construction ----------------------------------------------------------

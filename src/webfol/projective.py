@@ -34,7 +34,7 @@ from .forms import (
     proportionality_constant,
     specialise_at_point,
 )
-from .poly import _PRIME, Polynomial, Scalar
+from .poly import _PRIME, Polynomial, Scalar, load_json, read_fraction, read_int
 
 DEFAULT_CLOSURE_CAP = 100_000
 
@@ -152,13 +152,10 @@ class ProjMap:
             raise InputError(
                 f"a map is a JSON list of matrix entries, not {type(data).__name__}"
             )
-        n = _integer_sqrt(len(data))
-        if n is None or n < 2:
+        n = math.isqrt(len(data))
+        if n < 2 or n * n != len(data):
             raise InputError(f"matrix entry list of length {len(data)} is not square")
-        try:
-            values = [Fraction(str(v)) for v in data]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"malformed matrix entry: {exc}") from exc
+        values = [read_fraction(v, "matrix entry") for v in data]
         return cls([values[i * n : (i + 1) * n] for i in range(n)])
 
 
@@ -190,14 +187,6 @@ def _normalised_matrix(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     if g == 1:
         return tuple(map(tuple, rows))
     return tuple(tuple(v // g for v in row) for row in rows)
-
-
-def _integer_sqrt(n: int) -> Optional[int]:
-    r = int(n ** 0.5)
-    for candidate in (r - 1, r, r + 1):
-        if candidate >= 0 and candidate * candidate == n:
-            return candidate
-    return None
 
 
 def _determinant(matrix: list[list[int]]) -> int:
@@ -284,19 +273,19 @@ class BezoutSystem:
     def from_json_dict(cls, data: Mapping) -> "BezoutSystem":
         try:
             return cls(
-                n_matrix_vars=int(data["nvars"]),
+                n_matrix_vars=read_int(data["nvars"], "nvars"),
                 var_names=tuple(str(v) for v in data["var_names"]),
                 generators=tuple(
                     Polynomial.from_json_dict(g) for g in data["generators"]
                 ),
                 sample_points=tuple(
-                    tuple(Fraction(str(c)) for c in point)
+                    tuple(read_fraction(c, "sample point") for c in point)
                     for point in data["sample_points"]
                 ),
-                declared_degree=int(data["declared_degree"]),
-                coefficient_degree=int(data["coefficient_degree"]),
+                declared_degree=read_int(data["declared_degree"], "declared_degree"),
+                coefficient_degree=read_int(data["coefficient_degree"], "coefficient_degree"),
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise InputError(f"malformed system JSON: {exc}") from exc
 
 
@@ -400,11 +389,7 @@ def export_system(system: BezoutSystem, fmt: str = "json") -> str:
 
 def parse_system(text: str) -> BezoutSystem:
     """Inverse of the JSON export."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc}") from exc
-    return BezoutSystem.from_json_dict(data)
+    return BezoutSystem.from_json_dict(load_json(text, "system"))
 
 
 # -- finite closure and the order bound ------------------------------------------

@@ -1,4 +1,4 @@
-"""Mutation checks for the packed monomial kernel, the modular GCD and _ratio of webfol.poly.
+"""Mutation checks for the sound fast paths and the number readers of webfol.
 
 Each mutant is one exact edit of one source file.  The script copies src/ to
 a temporary directory, applies the edit there (the old text must occur
@@ -28,6 +28,9 @@ from typing import NamedTuple
 
 REPO = Path(__file__).resolve().parents[1]
 POLY_TESTS = "tests/test_poly.py::"
+FORMS_TESTS = "tests/test_forms.py::"
+PROJECTIVE_TESTS = "tests/test_projective.py::"
+CLI_TESTS = "tests/test_cli.py::"
 
 # Seconds allowed for one pytest run (unedited or mutated).
 TIMEOUT = 300.0
@@ -129,6 +132,54 @@ MUTANTS = (
         "    if p.nvars != q.nvars:\n        return None\n    if not p._terms:",
         "    if not p._terms:",
         (POLY_TESTS + "test_split_and_join_are_inverse",),
+    ),
+    Mutant(
+        "negation branch dropped from _ratio",
+        "webfol/poly.py",
+        "    if p._terms == _negated(q._terms):\n        return -p._c / q._c\n",
+        "",
+        (FORMS_TESTS + "test_proportionality_constant_edge_cases",),
+    ),
+    Mutant(
+        "_certainly_infinite_order always False",
+        "webfol/projective.py",
+        "    if _signed_permutation(g._m):\n        return False\n",
+        "    return False\n",
+        (PROJECTIVE_TESTS + "test_closure_refuses_finite_generators_of_an_infinite_group",),
+    ),
+    Mutant(
+        "_relabel keeping every sign",
+        "webfol/poly.py",
+        "        -v if (k & parity).bit_count() & 1 else v\n",
+        "        v\n",
+        (POLY_TESTS + "test_relabel_is_the_signed_permutation_substitution",),
+    ),
+    Mutant(
+        "F_p trial division dropped from the modular GCD",
+        "webfol/poly.py",
+        "if all(_quotient(f, candidate, guards, p) is not None for f in family):",
+        "if True:",
+        (POLY_TESTS + "test_an_interpolant_that_stops_early_is_refused_by_trial_division_mod_p",),
+    ),
+    Mutant(
+        "float and bool refusal dropped from read_int",
+        "webfol/poly.py",
+        "    if type(value) is int:  # not bool\n        return value\n",
+        "    if isinstance(value, (int, float)):\n        return int(value)\n",
+        (
+            POLY_TESTS + "test_read_int_accepts_exactly_the_printed_spellings",
+            CLI_TESTS + "test_a_number_outside_the_printed_spellings_is_an_input_error",
+        ),
+    ),
+    Mutant(
+        "digit budget dropped from read_int",
+        "webfol/poly.py",
+        "if not (len(digits) <= MAX_DIGITS and digits.isascii()",
+        "if not (digits.isascii()",
+        (
+            POLY_TESTS + "test_read_int_accepts_exactly_the_printed_spellings",
+            CLI_TESTS + "test_an_option_number_outside_the_printed_spellings_is_an_input_error",
+        ),
     ),
 )
 

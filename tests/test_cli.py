@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -507,11 +508,12 @@ def test_a_non_integer_option_value_is_an_input_error(capsys, argv):
     from webfol import cli
 
     argv = [fx(a) if a.endswith(".json") else a for a in argv]
+    message = f"{argv[argv.index('abc') - 1]}: bad integer 'abc'"
     assert cli.main(argv) == 2
     out = capsys.readouterr().out
-    assert json.loads(out) == {"error": "input_error", "message": "bad integer 'abc'"}
+    assert json.loads(out) == {"error": "input_error", "message": message}
     assert cli.main(["--table", *argv]) == 2
-    assert capsys.readouterr().out == "error: input_error\nmessage: bad integer 'abc'\n"
+    assert capsys.readouterr().out == f"error: input_error\nmessage: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -592,3 +594,131 @@ def test_an_empty_point_set_is_an_input_error(capsys, argv):
     assert json.loads(capsys.readouterr().out)["error"] == "input_error"
     assert cli.main([*argv[:-2], "--count", "1"]) in (0, 1)
     capsys.readouterr()
+
+
+# -- numbers from outside: one reader, one budget ----------------------------------
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"num": "-1"', '"num": -0.5'),
+        ('"N": 2', '"N": 2.9'),
+        ('"k": 1', '"k": true'),
+        ('"num": "-1"', '"num": "-1e0"'),
+        ('"num": "-1"', '"num": " -1"'),
+        ('"num": "-1"', '"num": "+1"'),
+        ('"den": "1"', '"den": "1_0"'),
+        ('"num": "-1"', '"num": ' + "9" * 5000),
+        ('"num": "-1"', '"num": "' + "9" * 5000 + '"'),
+    ],
+    ids=["float-num", "float-N", "true-k", "exponent", "space", "plus", "underscore",
+         "5000-digit-literal", "5000-digit-string"],
+)
+def test_a_number_outside_the_printed_spellings_is_an_input_error(tmp_path, capsys, old, new):
+    # int() read -0.5 as 0 (the form then failed euler_contraction_nonzero),
+    # 2.9 as 2 (valid, exit 0) and true as 1; json.loads raised a plain
+    # ValueError on the 5000-digit literal.
+    from webfol import cli
+
+    text = json.dumps(json.loads((FIXTURES / "radial.json").read_text()))
+    assert old in text
+    path = tmp_path / "form.json"
+    path.write_text(text.replace(old, new, 1))
+    assert cli.main(["validate", "--form", str(path)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "input_error" and "bad integer" in doc["message"]
+    assert len(doc["message"]) < len(str(path)) + 60
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reduced", "--matrix", "1e300000,0;0,1"),
+        ("reduced", "--matrix", "1/2,0;0,0.5"),
+        ("lie", "--form", "radial.json", "--field", "1/0 d/dx"),
+        ("lie", "--form", "radial.json", "--field", "x" * 5000 + " d/dx"),
+        ("lie", "--form", "radial.json", "--field", "x" + "1" * 5000 + " d/dx"),
+        ("squarefree", "--form", "example.json", "--points", "1/0,1,1"),
+        ("restrict", "--form", "example.json", "--line", "1.5,0,1;0,1,1"),
+        ("bounds", "--kf2", "1.0", "--kfkx", "0"),
+        ("bounds", "--kf2", "9" * 4301, "--kfkx", "0"),
+        ("duality", "--values", "1,2.0"),
+        ("hij", "--form", "radial.json", "--count", "1e3"),
+    ],
+    ids=["matrix-exponent", "matrix-decimal", "field-zero-denominator", "field-long-shorthand",
+         "field-long-index", "points-zero-denominator", "line-decimal", "kf2-decimal",
+         "kf2-past-the-budget", "values-decimal", "count-exponent"],
+)
+def test_an_option_number_outside_the_printed_spellings_is_an_input_error(capsys, argv):
+    # 1e300000 ran 9.4 s, then raised ValueError; 1/0 raised ZeroDivisionError;
+    # the long shorthand raised OSError from Path.is_file.
+    from webfol import cli
+
+    argv = [fx(a) if a.endswith(".json") else a for a in argv]
+    assert cli.main(argv) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "input_error"
+
+
+def test_exact_answers_past_the_int_string_limit_print(capsys):
+    # Both exited 1 with a ValueError from str() of an answer past 4,300 digits.
+    from webfol import cli
+    from webfol.forms import SymForm
+    from webfol.poly import unlimited_digits
+    from webfol.projective import ProjMap, invariance_system
+
+    limit = sys.get_int_max_str_digits()
+    nines = "9" * 3000
+    l = 10 ** 3000 - 1
+    assert cli.main(["ktransform", "--kf2", "1", "--kfkx", "0", "--l", nines]) == 0
+    out = capsys.readouterr().out
+    assert sys.get_int_max_str_digits() == limit
+    with unlimited_digits():
+        assert json.loads(out) == {
+            "kf2": 1, "kfkx": 0, "l": l,
+            "new_kf2": 1 - (1 - l) ** 2, "new_kfkx": l - 1, "new_kf2_positive": False,
+        }
+    assert cli.main(["hij", "--form", fx("radial.json"), "--points", f"{nines},1,1"]) == 0
+    out = capsys.readouterr().out
+    form = SymForm.from_json_dict(json.loads((FIXTURES / "radial.json").read_text()))
+    system = invariance_system(form, [(l, 1, 1)])
+    assert not any(system.evaluate_at_matrix(ProjMap.identity(3)))
+    with unlimited_digits():
+        assert out == json.dumps(system.to_json_dict()) + "\n"
+        assert json.loads(out)["sample_points"] == [[nines, "1", "1"]]
+
+
+def test_the_digit_budget_is_the_same_under_any_interpreter_limit(tmp_path):
+    # Under PYTHONINTMAXSTRDIGITS=640 a 1,000-digit map entry was refused and
+    # a 1,000-digit --l raised ValueError, while both ran under the default.
+    big = "7" * 1000
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps([big, "0", "0", "0", "1", "0", "0", "0", "1"]))
+    commands = (
+        ("validate", "--map", str(path)),
+        ("ktransform", "--kf2", "1", "--kfkx", "0", "--l", big),
+        ("bounds", "--d", big, "--k", "1", "--n", "2"),
+    )
+    for args in commands:
+        runs = []
+        for env in ({}, {"PYTHONINTMAXSTRDIGITS": "640"}):
+            r = subprocess.run(
+                [sys.executable, "-m", "webfol.cli", *args],
+                cwd=str(REPO), text=True, capture_output=True,
+                env={**os.environ, **env},
+            )
+            runs.append((r.returncode, r.stdout, r.stderr))
+        assert runs[0] == runs[1], args
+        assert runs[0][0] == 0 and runs[0][2] == ""
+
+
+def test_a_file_that_is_not_text_is_an_input_error(tmp_path, capsys):
+    # Path.read_text raised UnicodeDecodeError, which is not an OSError.
+    from webfol import cli
+
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00[")
+    assert cli.main(["validate", "--form", str(path)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "input_error" and doc["message"].startswith(f"cannot read {path}")

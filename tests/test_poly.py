@@ -1,6 +1,7 @@
 import ast
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -235,6 +236,87 @@ def test_canonical_serialisation_fixpoint():
     reparsed = Polynomial.from_json_dict(json.loads(blob))
     assert reparsed == p
     assert json.dumps(reparsed.to_json_dict()) == blob
+
+
+# -- numbers from outside ---------------------------------------------------------
+
+NINES = "9" * poly.MAX_DIGITS
+REFUSED_SPELLINGS = [
+    True, False, 2.9, -0.5, 1e400, None, [1], {"num": 1},
+    "", "-", "--1", "+1", " 1", "1 ", "1_0", "0.5", "1e2", "0x10", "\u0663", "1/2",
+    NINES + "9", "-" + NINES + "9", "1" * 5000,
+]
+
+
+def test_read_int_accepts_exactly_the_printed_spellings():
+    assert poly.read_int(7, "f") == 7
+    assert poly.read_int(-(10 ** 5000), "f") == -(10 ** 5000)
+    for text in ("0", "-0", "007", "-12", NINES, "-" + NINES):
+        assert poly.read_int(text, "f") == int(text)
+    for value in REFUSED_SPELLINGS:
+        with pytest.raises(InputError, match="^f: bad integer ") as info:
+            poly.read_int(value, "f")
+        # The message shows at most about 40 characters of the value.
+        assert len(str(info.value)) < 60
+
+
+def test_read_fraction_accepts_integers_and_n_over_d():
+    read = poly.read_fraction
+    assert read(5, "f") == 5 and type(read(5, "f")) is Fraction
+    assert read("-6/4", "f") == Fraction(-3, 2)
+    assert read("-0/7", "f") == 0
+    assert read(NINES + "/" + NINES, "f") == 1
+    for value in [v for v in REFUSED_SPELLINGS if v != "1/2"] + ["1/", "/2", "1/2/3", "1/+2", "1/ 2", "1/" + NINES + "9"]:
+        with pytest.raises(InputError, match="^f: bad integer "):
+            read(value, "f")
+    for value in ("1/0", "1/-2", "-3/-0", NINES + "/0"):
+        with pytest.raises(InputError, match="^f: zero or negative denominator in ") as info:
+            read(value, "f")
+        assert len(str(info.value)) < 100
+
+
+def test_the_digit_budget_does_not_depend_on_the_interpreter():
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert poly.read_int("7" * 1000, "f") % 10 ** 9 == 777777777
+        assert sys.get_int_max_str_digits() == 640
+        with poly.unlimited_digits():
+            assert sys.get_int_max_str_digits() == 0
+            with pytest.raises(InputError):
+                poly.read_int(NINES + "9", "f")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_load_json_reads_integer_literals_through_the_budget():
+    assert poly.load_json('{"a": [1, -2, "3"], "b": 0.5}', "doc") == {"a": [1, -2, "3"], "b": 0.5}
+    with pytest.raises(InputError, match="^doc: bad integer '999"):
+        poly.load_json("[" + "9" * 5000 + "]", "doc")
+    for text in ("{not json", "[" * 100000, "\"unterminated"):
+        with pytest.raises(InputError, match="^doc: invalid JSON"):
+            poly.load_json(text, "doc")
+
+
+def test_json_coefficients_are_read_in_the_printed_spellings_only():
+    def doc(num, den="1"):
+        return {"nvars": 2, "terms": [{"exp": [1, 0], "num": num, "den": den}, {"exp": [0, 1], "num": "1", "den": "1"}]}
+
+    x, y = Polynomial.variables(2)
+    assert Polynomial.from_json_dict(doc("-1", "2")) == y - Fraction(1, 2) * x
+    assert Polynomial.from_json_dict(doc(-1, 2)) == y - Fraction(1, 2) * x
+    # A negative den is an integer field like any other: the value is exact.
+    assert Polynomial.from_json_dict(doc("1", "-2")) == y - Fraction(1, 2) * x
+    # int() read -0.5 as 0 and 2.9 as 2, and true as 1.
+    for num in (-0.5, 2.9, True, "1e2", "0.5", " 1"):
+        with pytest.raises(InputError, match="^num: bad integer"):
+            Polynomial.from_json_dict(doc(num))
+    with pytest.raises(InputError, match="^den: zero denominator"):
+        Polynomial.from_json_dict(doc("1", "0"))
+    for bad in ({"nvars": 2.0, "terms": []}, {"nvars": 2, "terms": [{"exp": [1, 0.0], "num": "1", "den": "1"}]}):
+        with pytest.raises(InputError, match="bad integer"):
+            Polynomial.from_json_dict(bad)
 
 
 def test_terms_are_in_descending_grlex_order():
@@ -877,6 +959,18 @@ def test_unlucky_evaluation_points_are_dropped(monkeypatch):
     assert poly_gcd(f * (x - y ** 2), f * (x - 3 * y + 2)) == f.monic()
     assert poly_gcd(f * (x - y ** 2), f * (x - 3 * y)) == f.monic()
     assert poly_gcd(x - y ** 2, x - 3 * y + 2) == 1
+    assert points
+
+
+def test_an_interpolant_that_stops_early_is_refused_by_trial_division_mod_p(monkeypatch):
+    # The images of f = x + (y - 1)(y - 2) at y = 1 and y = 2 are both x, so
+    # the interpolant is unchanged at the second point; only the trial
+    # division mod p refuses the candidate x and runs on to the third point.
+    x, y = Polynomial.variables(2)
+    f = x + (y - 1) * (y - 2)
+    points = _counting(monkeypatch, "_gcd_mod", limit=200)
+    assert poly_gcd(f * (x + 3), f * (x + y + 5)) == f.monic()
+    assert poly_gcd(f * (x + 3) * (x - y), f * (x + y + 5) * (x - y)) == (f * (x - y)).monic()
     assert points
 
 

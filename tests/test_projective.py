@@ -444,13 +444,24 @@ def test_export_round_trip_is_byte_identical():
 
 
 def test_parse_system_refuses_an_overflowing_number():
-    # The JSON reader turns 1e400 into float infinity, which int() refuses.
+    # The JSON reader turns 1e400 into float infinity, which the integer reader refuses.
     blob = export_system(invariance_system(radial_form(), [[1, 1, 1]]), "json")
     for field in ('"nvars": 9', '"declared_degree": 2'):
         assert field in blob
         huge = blob.replace(field, field.split(":")[0] + ": 1e400", 1)
-        with pytest.raises(InputError, match="malformed system JSON"):
+        with pytest.raises(InputError, match=f"^{field.split(':')[0][1:-1]}: bad integer inf$"):
             parse_system(huge)
+
+
+def test_parse_system_refuses_numbers_outside_the_printed_spellings():
+    # A sample point "1/0" let ZeroDivisionError out; "0.5" was read as 1/2.
+    blob = export_system(invariance_system(radial_form(), [[1, 1, 1]]), "json")
+    points = '"sample_points": [["1", "1", "1"]]'
+    assert points in blob
+    for entry, message in (("1/0", "zero or negative denominator"), ("0.5", "bad integer"), ("true", "bad integer")):
+        bad = blob.replace(points, points.replace('"1"', f'"{entry}"' if entry != "true" else entry, 1))
+        with pytest.raises(InputError, match=f"^sample point: {message}"):
+            parse_system(bad)
 
 
 def test_export_text_format():
